@@ -155,10 +155,11 @@
 // executable specifications (now ctx-aware), pinned to the polynomial
 // testers differentially on the exhaustive small corpus, the generator
 // corpus — including gen.GammaAcyclic, a ported Leitert incremental
-// generator — and a fuzz target. The degree feeds planning: sessions over
-// γ-acyclic schemas select a denser semijoin strategy in the executor, and
-// the serving layer classifies 10⁴-edge schemas under its default deadline
-// (~90 ms measured, BENCH_spectrum.json) instead of refusing them by size.
+// generator — and a fuzz target. The serving layer classifies 10⁴-edge
+// schemas under its default deadline (~90 ms measured, BENCH_spectrum.json)
+// instead of refusing them by size. Execution does not consult the degree:
+// the executor picks its semijoin kernel per step from the tables (see
+// Query evaluation), so Reduce and Eval never run the spectrum.
 //
 // # Representation layer
 //
@@ -189,8 +190,10 @@
 //
 // internal/exec executes what the session derives: columnar, set-semantics
 // tables (ExecTable: per-attribute int32 columns over a shared value Dict)
-// bound to a schema as an ExecDatabase, with hash semijoin/join/projection
-// kernels operating on dictionary ids. Two session facets drive it:
+// bound to a schema as an ExecDatabase. One executor serves every caller
+// through two entry points, exec.Reduce(ctx, d, tree, pool) and
+// exec.Eval(ctx, d, tree, attrs, pool); the session facets call them with
+// the handle's join tree and pool:
 //
 //	db, _ := repro.ExecDatabaseFromRelations(h, objects) // or CSV/row loaders
 //	a := repro.Analyze(h)
@@ -202,39 +205,50 @@
 // consistent; Eval then joins bottom-up along the tree, projecting each
 // intermediate onto the query attributes plus its parent connection, so the
 // join phase materializes only rows that reach the output — evaluation is
-// output-sensitive instead of intermediate-bound. An 8-object × 10⁵-row
-// chain database reduces in ~80 ms and evaluates end to end in ~190 ms,
-// 6–10× ahead of the string-keyed relation layer on the identical plan
-// (BENCH_exec.json). Kernels observe context cancellation every ~4096 rows,
-// and mcs.RunCtx gives the same in-traversal cancellation bound to the
-// acyclicity engine itself. Correctness is pinned differentially against
-// naive internal/relation Semijoin/Join composition over randomized
-// databases on the gen corpus, plus fuzzing of the CSV loader and
-// quick-check laws for the kernels.
+// output-sensitive instead of intermediate-bound.
+//
+// Each semijoin step picks its kernel from its two tables. When they share
+// exactly one column, a dense filter marks the dictionary ids the source
+// holds in an array indexed by id and keeps the target rows whose id is
+// marked: O(|r|+|s|), no hashing. Every other step hashes the shared
+// columns. Both kernels return the same rows in the same order. On a
+// 2-vCPU Intel Xeon host, an 8-object × 10⁵-row chain database reduces in
+// ~13–16 ms (~115–125 ms with the hash kernel alone) and evaluates end to
+// end in ~120–125 ms, 7–22× ahead of the string-keyed relation layer on
+// the identical plan (BENCH_exec.json). Kernels observe context cancellation
+// every ~4096 rows, and mcs.RunCtx gives the same in-traversal
+// cancellation bound to the acyclicity engine itself. Correctness is pinned
+// differentially against naive internal/relation Semijoin/Join composition
+// over randomized databases on the gen corpus, plus fuzzing of the CSV
+// loader and quick-check laws for the kernels.
 //
 // # Parallel execution
 //
-// Both execution facets run serial by default; parallelism is opt-in per
-// handle. Analyze(h, WithParallelism(n)) makes a.Reduce schedule the full
-// reducer level by level over the join tree (independent subtrees run
-// concurrently) and makes a.Eval additionally chunk the bottom-up join
-// phase, in both cases with up to n workers; NewWorkspace(
-// WithWorkspaceParallelism(n)) does the same for workspace analyses and
-// settles dirty components concurrently, so a cold Snapshot fans its
-// per-component searches out. Workers come from one shared pool per
-// engine/handle: nested parallel regions draw from the same token budget
-// and degrade inline instead of oversubscribing, and a pool of n=1 (or a
-// nil pool) is exactly the serial executor.
+// The pool argument is the only parallelism switch: a nil or 1-worker pool
+// runs everything inline, and the session facets pass none by default.
+// Analyze(h, WithParallelism(n)) gives a handle a pool of n workers;
+// NewWorkspace(WithWorkspaceParallelism(n)) does the same for workspace
+// analyses and settles dirty components concurrently, so a cold Snapshot
+// fans its per-component searches out. Reduce always runs the reducer level
+// by level over the join tree (jointree.Levels): each node folds its
+// children in one task, and the down pass mirrors it by depth. With more
+// than one worker, a level's tasks run concurrently, hash semijoins on
+// large tables are chunked, and Eval builds sibling subtrees concurrently
+// and chunks its joins and projections. Dense-kernel scratch belongs to one
+// task at a time, so concurrent sibling steps never share it. Workers come
+// from one shared pool per engine/handle: nested parallel regions draw from
+// the same token budget and degrade inline instead of oversubscribing.
 //
 // The determinism contract: a parallel run is byte-identical to the serial
 // run — same rows in the same order, same per-step RowsIn/RowsOut in the
 // same program order, same JoinRows — only wall-clock time may differ.
 // This is enforced, not aspirational: a differential suite re-runs the
 // corpus at several GOMAXPROCS values × worker counts and compares
-// parallel output to the serial kernels field by field (and hammers the
-// pool under -race). Tables below a size threshold fall back to the serial
-// kernels, so small inputs never pay chunking overhead. BENCH_parallel.json
-// records measured shapes and the single-core caveat.
+// parallel output to the serial run field by field (and hammers the pool
+// under -race). Tables below a size threshold use the serial kernels, so
+// small inputs never pay chunking overhead. Chains gain little from extra
+// workers — their levels hold one or two nodes and their steps are dense —
+// which BENCH_parallel.json records.
 //
 // # Batch engine
 //

@@ -235,72 +235,51 @@ func (a *Analysis) Witness() (path *core.Path, coreGraph *hypergraph.Hypergraph,
 	return a.witPath, a.witCore, a.witFound, a.witErr
 }
 
-// checkSchemaLocked verifies that d's schema is (contentually) the epoch
-// snapshot, so plans derived from this handle are valid for d's objects.
-func (a *Analysis) checkSchemaLocked(d *exec.Database) error {
-	snap, err := a.snapshotLocked()
-	if err != nil {
-		return err
-	}
-	if d.Schema != snap && d.Schema.Fingerprint128() != snap.Fingerprint128() {
-		return fmt.Errorf("repro: database schema differs from the workspace epoch's hypergraph")
-	}
-	return nil
-}
-
-// Reduce applies the epoch's full-reducer program to the columnar database
-// d (see analysis.Analysis.Reduce for the execution contract). The plan
-// derivation is epoch-checked — an edited workspace reports *ErrStaleEpoch
-// instead of running a plan for a schema that no longer exists; the
-// reduction itself runs per call outside the handle's lock. A workspace
-// built with WithParallelism/WithPool runs the level-scheduled parallel
-// reduction (output and stats identical to the serial program).
-func (a *Analysis) Reduce(ctx context.Context, d *exec.Database) (*exec.ReduceResult, error) {
+// execTree returns the epoch's join forest for Reduce and Eval. It is
+// epoch-checked — an edited workspace reports *ErrStaleEpoch instead of
+// running a plan for a schema that no longer exists — and rejects a
+// database over another schema; a cyclic epoch reports ErrCyclicSchema.
+func (a *Analysis) execTree(d *exec.Database) (*jointree.JoinTree, error) {
 	a.mu.Lock()
-	prog, err := a.reducePlanLocked(d)
-	var jt *jointree.JoinTree
-	if err == nil && a.ws.pool.Parallelism() > 1 {
-		jt, err = a.joinTreeLocked()
-	}
-	a.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if jt != nil {
-		return exec.ReduceParallel(ctx, d, jt, a.ws.pool)
-	}
-	return exec.Reduce(ctx, d, prog)
-}
-
-func (a *Analysis) reducePlanLocked(d *exec.Database) ([]jointree.SemijoinStep, error) {
+	defer a.mu.Unlock()
 	if err := a.ws.stale(a.epoch); err != nil {
 		return nil, err
 	}
-	if err := a.checkSchemaLocked(d); err != nil {
-		return nil, err
-	}
-	return a.fullReducerLocked()
-}
-
-// Eval answers π_attrs(⋈ all objects) over d with the full Yannakakis
-// strategy, using the epoch's join forest and full reducer (see
-// analysis.Analysis.Eval for the execution contract). Plans are
-// epoch-checked like Reduce.
-func (a *Analysis) Eval(ctx context.Context, d *exec.Database, attrs []string) (*exec.EvalResult, error) {
-	a.mu.Lock()
-	prog, err := a.reducePlanLocked(d)
-	var jt *jointree.JoinTree
-	if err == nil {
-		jt, err = a.joinTreeLocked()
-	}
-	a.mu.Unlock()
+	snap, err := a.snapshotLocked()
 	if err != nil {
 		return nil, err
 	}
-	if a.ws.pool.Parallelism() > 1 {
-		return exec.EvalParallel(ctx, d, jt, attrs, a.ws.pool)
+	if d.Schema != snap && d.Schema.Fingerprint128() != snap.Fingerprint128() {
+		return nil, fmt.Errorf("repro: database schema differs from the workspace epoch's hypergraph")
 	}
-	return exec.EvalWithProgram(ctx, d, jt, prog, attrs)
+	jt, err := a.joinTreeLocked()
+	if errors.Is(err, hypergraph.ErrCyclic) {
+		err = hypergraph.ErrCyclicSchema
+	}
+	return jt, err
+}
+
+// Reduce applies the epoch's full reducer to the columnar database d over
+// the workspace's pool (see analysis.Analysis.Reduce for the execution
+// contract). The plan is epoch-checked (see execTree); the reduction itself
+// runs per call outside the handle's lock.
+func (a *Analysis) Reduce(ctx context.Context, d *exec.Database) (*exec.ReduceResult, error) {
+	jt, err := a.execTree(d)
+	if err != nil {
+		return nil, err
+	}
+	return exec.Reduce(ctx, d, jt, a.ws.pool)
+}
+
+// Eval answers π_attrs(⋈ all objects) over d with the full Yannakakis
+// strategy, using the epoch's join forest (see analysis.Analysis.Eval for
+// the execution contract). Plans are epoch-checked like Reduce.
+func (a *Analysis) Eval(ctx context.Context, d *exec.Database, attrs []string) (*exec.EvalResult, error) {
+	jt, err := a.execTree(d)
+	if err != nil {
+		return nil, err
+	}
+	return exec.Eval(ctx, d, jt, attrs, a.ws.pool)
 }
 
 // --- workspace-side epoch-checked reads ---

@@ -13,10 +13,17 @@
 //     context cancellation every ~4096 rows.
 //   - Database: a schema (hypergraph) bound to one Table per edge, all
 //     sharing one Dict so cross-table comparisons stay id-equality.
-//   - Reduce: applies a jointree.FullReducer program as a streaming two-pass
-//     reduction with per-step statistics (rows in/out, elapsed).
+//   - Reduce: runs a join tree's full reducer (jointree.FullReducer) as a
+//     streaming two-pass reduction with per-step statistics (rows in/out,
+//     elapsed, queueing), choosing each step's kernel from its tables: a
+//     dense id-stamp filter for one shared column, hashing otherwise.
 //   - Eval: full Yannakakis evaluation — reduce, then join bottom-up along
 //     the join tree with projection pushdown, output-sensitive.
+//
+// Reduce and Eval are the only executor entry points. Both take an
+// optional *pool.Pool: nil (or one worker) runs serially, more workers run
+// independent subtrees and large kernels concurrently with byte-identical
+// results.
 //
 // The reduce→eval contract: Reduce makes every object globally consistent
 // (for acyclic schemas, by Bernstein–Goodman), after which every

@@ -64,7 +64,7 @@ func TestReduceDifferential(t *testing.T) {
 		}
 		prog := jt.FullReducer()
 
-		res, err := exec.Reduce(ctx, d, prog)
+		res, err := exec.Reduce(ctx, d, jt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestEvalDifferential(t *testing.T) {
 					attrs = append(attrs, n)
 				}
 			}
-			res, err := exec.Eval(ctx, d, jt, attrs)
+			res, err := exec.Eval(ctx, d, jt, attrs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestConsistentDatabaseReducesToItself(t *testing.T) {
 		h := gen.RandomAcyclic(rng, gen.RandomSpec{Edges: 6, MinArity: 2, MaxArity: 3})
 		d := gendb.Consistent(rng, h, gen.InstanceSpec{Rows: 40, DomainSize: 4})
 		jt, _ := jointree.BuildMCS(h)
-		res, err := exec.Reduce(ctx, d, jt.FullReducer())
+		res, err := exec.Reduce(ctx, d, jt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,8 +150,13 @@ func TestAnalysisFacets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The kernel is chosen per step from the tables, never from the
+	// schema's acyclicity degree, so reducing runs no spectrum pass.
+	if runs := a.Stats().HierarchyRuns; runs != 0 {
+		t.Fatalf("Reduce ran %d spectrum passes, want 0", runs)
+	}
 	jt, _ := jointree.BuildMCS(h)
-	direct, err := exec.Reduce(ctx, d, jt.FullReducer())
+	direct, err := exec.Reduce(ctx, d, jt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

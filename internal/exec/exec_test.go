@@ -215,7 +215,7 @@ func chainDB(t *testing.T) (*hypergraph.Hypergraph, *Database, *jointree.JoinTre
 
 func TestReduceChain(t *testing.T) {
 	_, db, jt := chainDB(t)
-	res, err := Reduce(context.Background(), db, jt.FullReducer())
+	res, err := Reduce(context.Background(), db, jt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,17 +239,28 @@ func TestReduceChain(t *testing.T) {
 	}
 }
 
+// TestReduceRejectsBadProgram: the join tree is the reduction program, so a
+// tree of another schema — fewer edges, or as many edges over different
+// attributes — is rejected before any step runs.
 func TestReduceRejectsBadProgram(t *testing.T) {
 	_, db, _ := chainDB(t)
-	_, err := Reduce(context.Background(), db, []jointree.SemijoinStep{{Target: 0, Source: 99}})
-	if err == nil {
-		t.Fatal("out-of-range step accepted")
+	for _, edges := range [][][]string{
+		{{"A", "B"}, {"B", "C"}},
+		{{"A", "B"}, {"B", "C"}, {"C", "E"}},
+	} {
+		other, ok := jointree.BuildMCS(hypergraph.New(edges))
+		if !ok {
+			t.Fatal("setup")
+		}
+		if _, err := Reduce(context.Background(), db, other, nil); err == nil {
+			t.Errorf("join tree over %v accepted", edges)
+		}
 	}
 }
 
 func TestEvalChain(t *testing.T) {
 	_, db, jt := chainDB(t)
-	res, err := Eval(context.Background(), db, jt, []string{"A", "D"})
+	res, err := Eval(context.Background(), db, jt, []string{"A", "D"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +276,14 @@ func TestEvalChain(t *testing.T) {
 func TestEvalValidation(t *testing.T) {
 	h, db, jt := chainDB(t)
 	ctx := context.Background()
-	if _, err := Eval(ctx, db, jt, []string{"Q"}); err == nil {
+	if _, err := Eval(ctx, db, jt, []string{"Q"}, nil); err == nil {
 		t.Error("unknown attribute accepted")
 	}
 	other, ok := jointree.BuildMCS(hypergraph.New([][]string{{"A", "B"}, {"B", "C"}}))
 	if !ok {
 		t.Fatal("setup")
 	}
-	if _, err := Eval(ctx, db, other, []string{"A"}); err == nil {
+	if _, err := Eval(ctx, db, other, []string{"A"}, nil); err == nil {
 		t.Error("foreign join tree accepted")
 	}
 	_ = h
@@ -303,10 +314,10 @@ func TestReduceCancellation(t *testing.T) {
 	_, db, jt := chainDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Reduce(ctx, db, jt.FullReducer()); err != context.Canceled {
+	if _, err := Reduce(ctx, db, jt, nil); err != context.Canceled {
 		t.Errorf("Reduce on cancelled ctx: err = %v", err)
 	}
-	if _, err := Eval(ctx, db, jt, []string{"A"}); err != context.Canceled {
+	if _, err := Eval(ctx, db, jt, []string{"A"}, nil); err != context.Canceled {
 		t.Errorf("Eval on cancelled ctx: err = %v", err)
 	}
 }

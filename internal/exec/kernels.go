@@ -95,8 +95,15 @@ func Semijoin(ctx context.Context, r, s *Table) (*Table, error) {
 			}
 		}
 	}
+	return takeRows(r, keep), nil
+}
+
+// takeRows materializes the subset of r's rows listed in keep (ascending),
+// sharing the immutable input when nothing was filtered — the result
+// convention of every semijoin kernel.
+func takeRows(r *Table, keep []int32) *Table {
 	if len(keep) == r.rows {
-		return r, nil // nothing filtered: share the immutable input
+		return r
 	}
 	out := &Table{dict: r.dict, attrs: r.attrs, cols: make([][]int32, len(r.cols)), rows: len(keep)}
 	for c := range r.cols {
@@ -106,7 +113,7 @@ func Semijoin(ctx context.Context, r, s *Table) (*Table, error) {
 		}
 		out.cols[c] = col
 	}
-	return out, nil
+	return out
 }
 
 // Join returns the natural join r ⋈ s over the sorted union of the

@@ -1,12 +1,13 @@
 package exec
 
-// Intra-query parallel twins of the serial kernels and drivers. Every
-// function here is pinned to its serial counterpart by the differential
-// suite at the result level AND at the representation level: the parallel
-// kernels produce byte-identical tables (same rows in the same order), and
-// ReduceParallel produces the exact per-step RowsIn/RowsOut sequence of the
-// serial program. That determinism is not an accident of implementation —
-// it is engineered:
+// Intra-query data-parallel twins of the serial hash kernels, used by
+// Reduce and Eval when their pool has more than one worker. Every function
+// here is pinned to its serial counterpart by the differential suite at the
+// result level AND at the representation level: the parallel kernels
+// produce byte-identical tables (same rows in the same order), and a
+// parallel Reduce produces the exact per-step RowsIn/RowsOut sequence of a
+// serial one. That determinism is not an accident of implementation — it
+// is engineered:
 //
 //   - Chunked scans (semijoin keep lists, join emission) concatenate their
 //     per-chunk results in chunk order, which is ascending probe-row order,
@@ -20,11 +21,10 @@ package exec
 //     first-occurrence scan marks exactly the rows the serial
 //     first-occurrence scan keeps; materializing the kept rows in ascending
 //     row order then reproduces the serial output order.
-//   - The reducer schedules whole subtree folds on jointree.Levels: a
-//     node's upward fold consumes only final child tables and writes only
-//     its own slot, so each step sees the same inputs as its serial twin
-//     and its stats land in a precomputed slot matching serial program
-//     order.
+//   - Reduce schedules whole subtree folds on jointree.Levels: a node's
+//     upward fold consumes only final child tables and writes only its own
+//     slot, so each step sees the same inputs at every pool size and its
+//     stats land in a precomputed slot matching program order.
 //
 // All fan-out draws tokens from one pool.Pool, shared with the engine's
 // inter-query batch workers: nested parallel regions (a batch worker
@@ -35,13 +35,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
-	"repro/internal/jointree"
-	"repro/internal/obs"
 	"repro/internal/pool"
 )
 
@@ -200,22 +196,28 @@ func buildIndex(ctx context.Context, t *Table, idx []int, p *pool.Pool) (*probeI
 	return &probeIndex{shards: shards, mask: mask, hashes: hashes}, nil
 }
 
-// semijoinPar is Semijoin with a chunked probe scan; the result table is
-// identical to the serial kernel's (same rows, same order, same sharing of
-// an unfiltered input).
-func semijoinPar(ctx context.Context, r, s *Table, p *pool.Pool) (*Table, error) {
-	if p.Parallelism() == 1 || r.rows < parThreshold {
+// semijoinStep is one reduction step r ⋉ s, with the kernel chosen from
+// its inputs: exactly one shared column over one dictionary takes the dense
+// stamp filter (semijoinSingle) on the caller's scratch st; every other
+// shape takes the hash kernel, chunked over p's workers once r reaches
+// parThreshold rows. Every path returns the table Semijoin would (same
+// rows, same order, same sharing of an unfiltered input) and hits
+// fault.ExecReduceStep exactly once.
+func semijoinStep(ctx context.Context, r, s *Table, p *pool.Pool, st *stamps) (*Table, error) {
+	rIdx, sIdx := sharedCols(r, s)
+	dense := len(rIdx) == 1 && r.dict != nil && r.dict == s.dict
+	if !dense && (p.Parallelism() == 1 || r.rows < parThreshold) {
 		return Semijoin(ctx, r, s)
 	}
-	// Same chaos site as the serial kernel (the fallback above reaches it
-	// through Semijoin), so every reduction step hits it exactly once.
 	if err := fault.HitCtx(ctx, fault.ExecReduceStep); err != nil {
 		return nil, err
+	}
+	if dense {
+		return semijoinSingle(ctx, r, s, rIdx[0], sIdx[0], st)
 	}
 	if r.dict != s.dict {
 		return nil, fmt.Errorf("exec: semijoin across distinct dictionaries")
 	}
-	rIdx, sIdx := sharedCols(r, s)
 	if len(rIdx) == 0 {
 		if s.rows > 0 {
 			return r, nil
@@ -478,284 +480,4 @@ func projectPar(ctx context.Context, t *Table, attrs []string, p *pool.Pool) (*T
 		}
 	})
 	return out, nil
-}
-
-// ReduceParallel runs tree's two-pass full reducer with per-subtree
-// parallelism on top of the data-parallel kernels: jointree.Levels
-// partitions the forest into dependency levels, every node of a level folds
-// its whole subtree boundary concurrently (its upward semijoins with each
-// child, in child order), and the downward pass mirrors it by depth. The
-// result — reduced database, per-step RowsIn/RowsOut, program order of the
-// Steps slice — is identical to Reduce(ctx, d, tree.FullReducer()); a nil
-// or single-worker pool delegates to exactly that.
-func ReduceParallel(ctx context.Context, d *Database, tree *jointree.JoinTree, p *pool.Pool) (*ReduceResult, error) {
-	if p.Parallelism() == 1 {
-		return Reduce(ctx, d, tree.FullReducer())
-	}
-	m := len(d.Tables)
-	if len(tree.Parent) != m {
-		return nil, fmt.Errorf("exec: join tree over %d edges cannot reduce %d objects", len(tree.Parent), m)
-	}
-	ctx, rsp := obs.StartSpan(ctx, "exec.reduce")
-	defer rsp.End()
-	rsp.SetAttr("strategy", "parallel")
-	start := time.Now()
-	work := make([]*Table, m)
-	copy(work, d.Tables)
-	res := &ReduceResult{RowsIn: d.NumRows()}
-
-	// Pre-assign every step its slot in serial program order, so concurrent
-	// completion can't scramble the Steps slice.
-	post := tree.PostOrder()
-	upIdx := make([]int, m)
-	downIdx := make([]int, m)
-	nUp := 0
-	for _, v := range post {
-		if tree.Parent[v] >= 0 {
-			upIdx[v] = nUp
-			nUp++
-		}
-	}
-	k := nUp
-	for i := len(post) - 1; i >= 0; i-- {
-		if v := post[i]; tree.Parent[v] >= 0 {
-			downIdx[v] = k
-			k++
-		}
-	}
-	steps := make([]StepStats, k)
-
-	ch := tree.Children()
-	up, down := tree.Levels()
-	var perr parErr
-	for _, level := range up {
-		if perr.get() != nil {
-			break
-		}
-		level := level
-		// Wait accounting: a level is dispatched all at once, so the time
-		// between dispatch and a task actually starting is pure pool
-		// queueing. It is charged to the node's first step, keeping Elapsed
-		// as kernel-only time (the WaitNs/Elapsed split the profiler shows).
-		dispatch := time.Now()
-		p.Do(len(level), func(i int) {
-			wait := time.Since(dispatch)
-			v := level[i]
-			if perr.get() != nil {
-				return
-			}
-			// Fold the children into work[v] in child order: each child's
-			// own fold finished in a lower level, so work[c] is final, and
-			// no other task touches work[v].
-			for k, c := range ch[v] {
-				sctx, ssp := obs.StartSpan(ctx, "exec.step")
-				stepStart := time.Now()
-				in := work[v].rows
-				next, err := semijoinPar(sctx, work[v], work[c], p)
-				if err != nil {
-					ssp.SetAttr("error", err.Error())
-					ssp.End()
-					perr.set(err)
-					return
-				}
-				work[v] = next
-				st := StepStats{
-					Step:    jointree.SemijoinStep{Target: v, Source: c},
-					RowsIn:  in,
-					RowsOut: next.rows,
-					Elapsed: time.Since(stepStart),
-				}
-				if k == 0 {
-					st.Wait = wait
-				}
-				steps[upIdx[c]] = st
-				ssp.SetInt("target", int64(v))
-				ssp.SetInt("source", int64(c))
-				ssp.SetInt("rowsIn", int64(st.RowsIn))
-				ssp.SetInt("rowsOut", int64(st.RowsOut))
-				ssp.SetInt("waitNs", st.Wait.Nanoseconds())
-				ssp.End()
-			}
-		})
-	}
-	for _, level := range down {
-		if perr.get() != nil {
-			break
-		}
-		level := level
-		dispatch := time.Now()
-		p.Do(len(level), func(i int) {
-			wait := time.Since(dispatch)
-			v := level[i]
-			pv := tree.Parent[v]
-			if pv < 0 || perr.get() != nil {
-				return
-			}
-			sctx, ssp := obs.StartSpan(ctx, "exec.step")
-			stepStart := time.Now()
-			in := work[v].rows
-			next, err := semijoinPar(sctx, work[v], work[pv], p)
-			if err != nil {
-				ssp.SetAttr("error", err.Error())
-				ssp.End()
-				perr.set(err)
-				return
-			}
-			work[v] = next
-			st := StepStats{
-				Step:    jointree.SemijoinStep{Target: v, Source: pv},
-				RowsIn:  in,
-				RowsOut: next.rows,
-				Elapsed: time.Since(stepStart),
-				Wait:    wait,
-			}
-			steps[downIdx[v]] = st
-			ssp.SetInt("target", int64(v))
-			ssp.SetInt("source", int64(pv))
-			ssp.SetInt("rowsIn", int64(st.RowsIn))
-			ssp.SetInt("rowsOut", int64(st.RowsOut))
-			ssp.SetInt("waitNs", st.Wait.Nanoseconds())
-			ssp.End()
-		})
-	}
-	if err := perr.get(); err != nil {
-		return nil, err
-	}
-	res.Steps = steps
-	res.DB = &Database{Schema: d.Schema, Tables: work}
-	res.RowsOut = res.DB.NumRows()
-	res.Elapsed = time.Since(start)
-	rsp.SetInt("rowsIn", int64(res.RowsIn))
-	rsp.SetInt("rowsOut", int64(res.RowsOut))
-	rsp.SetInt("steps", int64(len(res.Steps)))
-	return res, nil
-}
-
-// EvalParallel is Eval with a parallel bottom-up join phase on top of
-// ReduceParallel: sibling subtrees build concurrently (token-gated, falling
-// back inline when the pool is saturated), while each node still applies
-// its child joins in child order, so the output table is identical to the
-// serial evaluation's. A nil or single-worker pool delegates to Eval.
-func EvalParallel(ctx context.Context, d *Database, tree *jointree.JoinTree, attrs []string, p *pool.Pool) (*EvalResult, error) {
-	if p.Parallelism() == 1 {
-		return Eval(ctx, d, tree, attrs)
-	}
-	ctx, esp := obs.StartSpan(ctx, "exec.eval")
-	defer esp.End()
-	// Same chaos site as EvalWithProgram (the fallback above reaches it
-	// through Eval), so every evaluation hits it exactly once.
-	if err := fault.HitCtx(ctx, fault.ExecEvalJoin); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	if len(d.Tables) == 0 {
-		return nil, fmt.Errorf("exec: empty schema")
-	}
-	if tree.H.Fingerprint128() != d.Schema.Fingerprint128() {
-		return nil, fmt.Errorf("exec: join tree belongs to a different schema")
-	}
-	want := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		id, ok := d.Schema.NodeID(a)
-		if !ok {
-			return nil, fmt.Errorf("exec: unknown query attribute %q", a)
-		}
-		covered := false
-		for i := 0; i < d.Schema.NumEdges() && !covered; i++ {
-			covered = d.Schema.EdgeView(i).Contains(id)
-		}
-		if !covered {
-			return nil, fmt.Errorf("exec: query attribute %q occurs in no object", a)
-		}
-		want[a] = true
-	}
-	red, err := ReduceParallel(ctx, d, tree, p)
-	if err != nil {
-		return nil, err
-	}
-	res := &EvalResult{Reduce: red}
-	reduced := red.DB.Tables
-
-	var joinRows atomic.Int64
-	ch := tree.Children()
-	// buildAll computes the subtree tables of vs concurrently when tokens
-	// allow: vs[0] runs inline (the caller is a worker), the rest spawn
-	// only if TryAcquire grants a token, so recursion cannot oversubscribe.
-	var build func(v int) (*Table, error)
-	buildAll := func(vs []int) ([]*Table, error) {
-		subs := make([]*Table, len(vs))
-		errs := make([]error, len(vs))
-		var wg sync.WaitGroup
-		for i := len(vs) - 1; i >= 1; i-- {
-			if p.TryAcquire() {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					defer p.Release()
-					subs[i], errs[i] = build(vs[i])
-				}(i)
-			} else {
-				subs[i], errs[i] = build(vs[i])
-			}
-		}
-		if len(vs) > 0 {
-			subs[0], errs[0] = build(vs[0])
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
-		}
-		return subs, nil
-	}
-	build = func(v int) (*Table, error) {
-		subs, err := buildAll(ch[v])
-		if err != nil {
-			return nil, err
-		}
-		acc := reduced[v]
-		for _, sub := range subs {
-			if acc, err = joinPar(ctx, acc, sub, p); err != nil {
-				return nil, err
-			}
-			joinRows.Add(int64(acc.rows))
-		}
-		keep := make([]string, 0, acc.NumAttrs())
-		pv := tree.Parent[v]
-		for i := 0; i < acc.NumAttrs(); i++ {
-			a := acc.Attr(i)
-			if want[a] {
-				keep = append(keep, a)
-				continue
-			}
-			if pv >= 0 {
-				if id, ok := d.Schema.NodeID(a); ok && d.Schema.EdgeView(pv).Contains(id) {
-					keep = append(keep, a)
-				}
-			}
-		}
-		return projectPar(ctx, acc, keep, p)
-	}
-	subs, err := buildAll(tree.Roots())
-	if err != nil {
-		return nil, err
-	}
-	acc := subs[0]
-	for _, sub := range subs[1:] {
-		if acc, err = joinPar(ctx, acc, sub, p); err != nil {
-			return nil, err
-		}
-		joinRows.Add(int64(acc.rows))
-	}
-	out, err := projectPar(ctx, acc, attrs, p)
-	if err != nil {
-		return nil, err
-	}
-	res.JoinRows = int(joinRows.Load())
-	res.Out = out
-	res.Elapsed = time.Since(start)
-	esp.SetInt("joinRows", int64(res.JoinRows))
-	esp.SetInt("rowsOut", int64(out.rows))
-	return res, nil
 }

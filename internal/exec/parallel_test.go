@@ -10,6 +10,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/gendb"
+	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/pool"
 )
@@ -64,8 +65,20 @@ var gomaxprocsValues = []int{1, 2, 4}
 // workerValues are the pool sizes swept per schema.
 var workerValues = []int{1, 2, 4, 8}
 
-// TestReduceParallelMatchesSerial pins ReduceParallel against Reduce across
-// the acyclic corpus, every pool size, and several GOMAXPROCS values:
+// parallelCorpus is the acyclic corpus plus a star whose six leaves each
+// share one attribute with the hub: the leaves' down steps are dense
+// single-column semijoins in one level, so sibling dense steps run
+// concurrently (under -race in CI) at every worker count.
+func parallelCorpus(tb testing.TB) []*hypergraph.Hypergraph {
+	return append(acyclicCorpus(tb), hypergraph.New([][]string{
+		{"A", "B", "C", "D", "E", "F"},
+		{"A", "U"}, {"B", "V"}, {"C", "W"}, {"D", "X"}, {"E", "Y"}, {"F", "Z"},
+	}))
+}
+
+// TestReduceParallelMatchesSerial pins a pooled Reduce against a serial one
+// (nil pool) across the corpus, every pool size, and several GOMAXPROCS
+// values:
 // reduced tables must be byte-identical (content and row order) and the
 // per-step statistics must be the serial program's, step for step.
 func TestReduceParallelMatchesSerial(t *testing.T) {
@@ -74,19 +87,19 @@ func TestReduceParallelMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", gmp), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(gmp)
 			defer runtime.GOMAXPROCS(prev)
-			for i, h := range acyclicCorpus(t) {
+			for i, h := range parallelCorpus(t) {
 				rng := rand.New(rand.NewSource(int64(3000 + i)))
 				d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 40, DomainSize: 3})
 				jt, ok := jointree.BuildMCS(h)
 				if !ok {
 					t.Fatalf("corpus schema %d not acyclic", i)
 				}
-				serial, err := exec.Reduce(ctx, d, jt.FullReducer())
+				serial, err := exec.Reduce(ctx, d, jt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, w := range workerValues {
-					par, err := exec.ReduceParallel(ctx, d, jt, pool.New(w))
+					par, err := exec.Reduce(ctx, d, jt, pool.New(w))
 					if err != nil {
 						t.Fatalf("schema %d workers %d: %v", i, w, err)
 					}
@@ -106,7 +119,8 @@ func TestReduceParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEvalParallelMatchesSerial pins EvalParallel against Eval the same way:
+// TestEvalParallelMatchesSerial pins a pooled Eval against a serial one the
+// same way:
 // identical output tables (row order included), identical reduction stats,
 // and an identical JoinRows output-sensitivity metric.
 func TestEvalParallelMatchesSerial(t *testing.T) {
@@ -115,7 +129,7 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", gmp), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(gmp)
 			defer runtime.GOMAXPROCS(prev)
-			for i, h := range acyclicCorpus(t) {
+			for i, h := range parallelCorpus(t) {
 				rng := rand.New(rand.NewSource(int64(4000 + i)))
 				d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 30, DomainSize: 3})
 				jt, ok := jointree.BuildMCS(h)
@@ -129,12 +143,12 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 						attrs = append(attrs, n)
 					}
 				}
-				serial, err := exec.Eval(ctx, d, jt, attrs)
+				serial, err := exec.Eval(ctx, d, jt, attrs, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, w := range workerValues {
-					par, err := exec.EvalParallel(ctx, d, jt, attrs, pool.New(w))
+					par, err := exec.Eval(ctx, d, jt, attrs, pool.New(w))
 					if err != nil {
 						t.Fatalf("schema %d workers %d: %v", i, w, err)
 					}
@@ -166,16 +180,48 @@ func TestParallelLargeInstance(t *testing.T) {
 	}
 	attrs := h.Nodes()[:3]
 
-	serial, err := exec.Eval(ctx, d, jt, attrs)
+	serial, err := exec.Eval(ctx, d, jt, attrs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := exec.EvalParallel(ctx, d, jt, attrs, pool.New(8))
+	par, err := exec.Eval(ctx, d, jt, attrs, pool.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	identicalTables(t, "large instance output", serial.Out, par.Out)
 	identicalSteps(t, "large instance", serial.Reduce.Steps, par.Reduce.Steps)
+	if par.JoinRows != serial.JoinRows {
+		t.Fatalf("JoinRows differs: serial %d, parallel %d", serial.JoinRows, par.JoinRows)
+	}
+}
+
+// TestParallelLargeHashInstance is TestParallelLargeInstance on a chain
+// whose neighbours share two attributes: no step qualifies for the dense
+// kernel, so the chunked hash semijoin runs past parThreshold too.
+func TestParallelLargeHashInstance(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(98))
+	h := gen.AcyclicChain(4, 3, 2)
+	d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 40000, DomainSize: 300})
+	jt, ok := jointree.BuildMCS(h)
+	if !ok {
+		t.Fatal("chain schema must be acyclic")
+	}
+	attrs := h.Nodes()[:3]
+
+	serial, err := exec.Eval(ctx, d, jt, attrs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := exec.Eval(ctx, d, jt, attrs, pool.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	identicalTables(t, "large instance output", serial.Out, par.Out)
+	identicalSteps(t, "large instance", serial.Reduce.Steps, par.Reduce.Steps)
+	if serial.Reduce.RowsOut == serial.Reduce.RowsIn {
+		t.Fatal("reduction filtered nothing; the chunked gather path did not run")
+	}
 	if par.JoinRows != serial.JoinRows {
 		t.Fatalf("JoinRows differs: serial %d, parallel %d", serial.JoinRows, par.JoinRows)
 	}
@@ -190,10 +236,28 @@ func TestParallelCancellation(t *testing.T) {
 	jt, _ := jointree.BuildMCS(h)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := exec.ReduceParallel(ctx, d, jt, pool.New(4)); err != context.Canceled {
-		t.Fatalf("ReduceParallel on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := exec.Reduce(ctx, d, jt, pool.New(4)); err != context.Canceled {
+		t.Fatalf("pooled Reduce on cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := exec.EvalParallel(ctx, d, jt, h.Nodes()[:1], pool.New(4)); err != context.Canceled {
-		t.Fatalf("EvalParallel on cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := exec.Eval(ctx, d, jt, h.Nodes()[:1], pool.New(4)); err != context.Canceled {
+		t.Fatalf("pooled Eval on cancelled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestAggressiveStrategyCancellation checks that the dense stamp kernel,
+// which every step of this single-shared-column chain runs, observes
+// cancellation like every other kernel.
+func TestAggressiveStrategyCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	h := gen.AcyclicChainIDs(40, 3, 1)
+	d := gendb.Random(rng, h, gen.InstanceSpec{Rows: 3000, DomainSize: 4})
+	jt, ok := jointree.BuildMCS(h)
+	if !ok {
+		t.Fatal("chain schema not acyclic")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := exec.Reduce(ctx, d, jt, nil); err == nil {
+		t.Fatal("dense reduce ignored cancelled context")
 	}
 }

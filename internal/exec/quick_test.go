@@ -89,7 +89,7 @@ func TestJoinCommutesWithReduction(t *testing.T) {
 		if !ok {
 			t.Fatal("RandomAcyclic produced a cyclic schema")
 		}
-		res, err := exec.Reduce(ctx, d, jt.FullReducer())
+		res, err := exec.Reduce(ctx, d, jt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

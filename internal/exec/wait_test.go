@@ -35,7 +35,7 @@ func TestStepWaitSplitsQueueingFromKernelTime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serial, err := exec.Reduce(context.Background(), d, tree.FullReducer())
+	serial, err := exec.Reduce(context.Background(), d, tree, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestStepWaitSplitsQueueingFromKernelTime(t *testing.T) {
 	fault.Activate(fault.ExecReduceStep, fault.Injection{Kind: fault.KindDelay, Delay: delay})
 	defer fault.Reset()
 
-	par, err := exec.ReduceParallel(context.Background(), d, tree, pool.New(4))
+	par, err := exec.Reduce(context.Background(), d, tree, pool.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}

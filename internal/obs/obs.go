@@ -187,11 +187,21 @@ func (t *Tracer) StartTrace(ctx Context, name string) (Context, *Span) {
 
 // StartSpan begins a child of the context's current span and installs it
 // in the returned context. The disabled path is one atomic load; a context
-// without a sampled trace returns (ctx, nil).
-func StartSpan(ctx Context, name string) (Context, *Span) {
-	if !enabled.Load() {
-		return ctx, nil
+// without a sampled trace returns (ctx, nil). StartSpan stays small enough
+// for the compiler to inline, so the disabled check costs no call; the
+// enabled work lives in startSpan.
+func StartSpan(ctx Context, name string) (c Context, sp *Span) {
+	// Named results keep the body under the inlining budget; the
+	// equivalent early-return form does not fit.
+	c = ctx
+	if enabled.Load() {
+		c, sp = startSpan(ctx, name)
 	}
+	return c, sp
+}
+
+// startSpan is StartSpan's enabled path.
+func startSpan(ctx Context, name string) (Context, *Span) {
 	parent, _ := ctx.Value(ctxKey{}).(*Span)
 	if parent == nil {
 		return ctx, nil
@@ -263,10 +273,18 @@ func (s *Span) TraceID() uint64 {
 // span additionally finalizes the trace and offers it to the tracer's
 // profiler. Nil-safe; a second End double-records and must not happen (the
 // single-owner convention makes that a code bug, not a runtime state).
+//
+// Like StartSpan, End inlines into its callers: the nil check compiles into
+// the call site and the recording lives in end.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	s.end()
+}
+
+// end is End's recording path for a live span.
+func (s *Span) end() {
 	s.rec.Dur = time.Since(s.rec.Start)
 	tr := s.tr
 	tr.mu.Lock()

@@ -65,7 +65,7 @@ func WithWorkspaceEngine(e *Engine) WorkspaceOption {
 
 // WithWorkspaceParallelism makes the workspace settle dirty components with
 // up to n concurrent workers (values < 1 mean GOMAXPROCS) and routes the
-// epoch handles' Reduce and Eval facets through the parallel executors.
+// epoch handles' Reduce and Eval facets over the same worker budget.
 // Results are identical to the serial workspace — only wall-clock time
 // changes. When the workspace also uses WithWorkspaceEngine, prefer sharing
 // the engine's pool sizing (Engine WithWorkers) so the two layers do not
