@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/acyclic"
@@ -719,4 +720,74 @@ func BenchmarkSpectrumClassify(b *testing.B) {
 			}
 		})
 	}
+}
+
+// schemaText is one schema in the Parse text format.
+type schemaText struct {
+	name  string
+	text  string
+	edges int
+}
+
+// parseCorpus renders the four schema families the hgbench schema_analyze
+// workload sends (chain, random acyclic, γ-acyclic, random raw) at 10³,
+// 3·10³ and 5·10³ edges, in the Parse text format with node names written
+// as the workload writes them: a short tag prefix plus the node id in base
+// 36, one edge per line in id order.
+func parseCorpus() []schemaText {
+	var out []schemaText
+	for _, m := range []int{1000, 3000, 5000} {
+		rng := rand.New(rand.NewSource(int64(m)))
+		fams := []struct {
+			name string
+			h    *hypergraph.Hypergraph
+		}{
+			{"chain", gen.AcyclicChain(m, 3, 1)},
+			{"random_acyclic", gen.RandomAcyclic(rng, gen.RandomSpec{Edges: m, MinArity: 2, MaxArity: 4})},
+			{"gamma_acyclic", gen.GammaAcyclic(rng, m, m)},
+			{"random_raw", gen.RandomRawIDs(rng, gen.RandomSpec{Nodes: m, Edges: m, MinArity: 2, MaxArity: 4})},
+		}
+		for k, f := range fams {
+			tag := "f" + strconv.FormatInt(int64(k), 36) + "_"
+			var sb strings.Builder
+			for i := 0; i < f.h.NumEdges(); i++ {
+				f.h.EdgeView(i).ForEach(func(id int) {
+					sb.WriteString(tag)
+					sb.WriteString(strconv.FormatInt(int64(id), 36))
+					sb.WriteByte(' ')
+				})
+				sb.WriteByte('\n')
+			}
+			out = append(out, schemaText{fmt.Sprintf("%s/m=%d", f.name, m), sb.String(), f.h.NumEdges()})
+		}
+	}
+	return out
+}
+
+// BenchmarkParse — hypergraph construction from schema text, the first
+// step of every served schema request: tokenizing, interning node names to
+// sorted-order ids, per-edge sorting, and the streaming fingerprint. One
+// sub-benchmark per family and size, plus "corpus" parsing all twelve
+// schemas per op; ns/edge normalizes across sizes.
+func BenchmarkParse(b *testing.B) {
+	corpus := parseCorpus()
+	run := func(b *testing.B, texts []string, edges int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, text := range texts {
+				if _, _, err := hypergraph.Parse(text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+	}
+	var all []string
+	total := 0
+	for _, s := range corpus {
+		b.Run(s.name, func(b *testing.B) { run(b, []string{s.text}, s.edges) })
+		all = append(all, s.text)
+		total += s.edges
+	}
+	b.Run("corpus", func(b *testing.B) { run(b, all, total) })
 }

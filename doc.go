@@ -180,6 +180,17 @@
 //     running-intersection verification each run in well under a second at
 //     that size (see BENCH_sparse.json).
 //
+// Name-mode construction (NewHypergraph, ParseHypergraph, NewBuilder) is a
+// single pass. The text tokenizer scans bytes and decodes a rune only at
+// bytes >= 0x80; each name occurrence costs one map lookup; the distinct
+// names are sorted once; and each edge is sorted as an int32 id slice.
+// Over the served schema families at 10³–5·10³ edges, Parse costs about
+// 1.3 µs and under 0.1 allocations per edge, down from 2.5–2.8 µs and ~4
+// allocations (BENCH_sparse.json "construction"). A built hypergraph
+// never aliases the strings it was built from. Node names and the name
+// index share one contiguous copy, so a memoized hypergraph does not pin
+// the request body it was parsed from.
+//
 // The structural hot paths are linear in total edge size: Hypergraph.Reduce
 // buckets edges by content hash and confirms containment through minimum-
 // degree occurrence lists behind a Bloom-signature prefilter, and

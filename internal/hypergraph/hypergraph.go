@@ -280,10 +280,19 @@ func equalStringSets(a, b []string) bool {
 	return true
 }
 
+// edgeKeySet keys each edge by its length-prefixed names, as Fingerprint
+// does, so no name content can forge a boundary between names.
 func edgeKeySet(lists [][]string) map[string]bool {
 	m := map[string]bool{}
+	var b strings.Builder
 	for _, l := range lists {
-		m[strings.Join(l, "\x00")] = true
+		b.Reset()
+		for _, n := range l {
+			b.WriteString(strconv.Itoa(len(n)))
+			b.WriteByte(':')
+			b.WriteString(n)
+		}
+		m[b.String()] = true
 	}
 	return m
 }

@@ -236,6 +236,23 @@ func TestEqualAndCanonicalString(t *testing.T) {
 	}
 }
 
+// TestEqualNamesWithNUL: edge keys are length-prefixed, so names holding
+// NUL bytes cannot make distinct edges look alike. The edges {a\x00b, c}
+// and {a, b\x00c} are distinct, so dropping one changes the edge set.
+func TestEqualNamesWithNUL(t *testing.T) {
+	h := New([][]string{{"a\x00b", "c"}, {"a", "b\x00c"}})
+	one := h.Derive(h.NodeSet(), h.Edges()[:1]) // same nodes, first edge only
+	if h.EqualEdges(one) {
+		t.Error("EqualEdges: a dropped edge went unnoticed")
+	}
+	if h.Equal(one) {
+		t.Error("Equal: a dropped edge went unnoticed")
+	}
+	if !h.Equal(h.Clone()) || !h.EqualEdges(h.Clone()) {
+		t.Error("a clone must stay equal")
+	}
+}
+
 func TestCloneAndDeriveIndependence(t *testing.T) {
 	h := Fig1()
 	c := h.Clone()

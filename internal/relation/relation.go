@@ -78,7 +78,33 @@ func MustNew(attrs []string, rows ...[]string) *Relation {
 	return r
 }
 
-func rowKey(t []string) string { return strings.Join(t, "\x00") }
+// rowKey encodes a tuple as a map key, injectively: each cell is its byte
+// length (uvarint) followed by its bytes, so no cell content can forge a
+// cell boundary. (Joining with a separator would map ("a\x00b", "c") and
+// ("a", "b\x00c") to one key and silently drop a row.)
+func rowKey(t []string) string {
+	size := 0
+	for _, c := range t {
+		size += len(c) + 1
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, c := range t {
+		writeCell(&b, c)
+	}
+	return b.String()
+}
+
+// writeCell appends one length-prefixed cell of a row key.
+func writeCell(b *strings.Builder, c string) {
+	n := uint64(len(c))
+	for n >= 0x80 {
+		b.WriteByte(byte(n) | 0x80)
+		n >>= 7
+	}
+	b.WriteByte(byte(n))
+	b.WriteString(c)
+}
 
 func (r *Relation) insert(t []string) {
 	k := rowKey(t)
@@ -350,12 +376,18 @@ func (r *Relation) splitAttrs(s *Relation) (shared, only2 []string) {
 	return
 }
 
+// keyOn encodes t's cells on attrs, in attrs order, as rowKey does.
 func (r *Relation) keyOn(t []string, attrs []string) string {
-	parts := make([]string, len(attrs))
-	for i, a := range attrs {
-		parts[i] = t[r.pos[a]]
+	size := 0
+	for _, a := range attrs {
+		size += len(t[r.pos[a]]) + 1
 	}
-	return strings.Join(parts, "\x00")
+	var b strings.Builder
+	b.Grow(size)
+	for _, a := range attrs {
+		writeCell(&b, t[r.pos[a]])
+	}
+	return b.String()
 }
 
 // String renders the relation as a small table with a header row.

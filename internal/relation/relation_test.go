@@ -297,3 +297,35 @@ func TestForEachRowAllocates(t *testing.T) {
 		t.Fatalf("ForEachRow allocated %.0f times per run", got)
 	}
 }
+
+// Row keys are injective: cells containing NUL bytes (any byte a separator
+// could use) never make two distinct tuples look alike. ("a\x00b", "c") and
+// ("a", "b\x00c") are distinct tuples in every operator.
+func TestRowKeysInjective(t *testing.T) {
+	x, y := []string{"a\x00b", "c"}, []string{"a", "b\x00c"}
+	if r := MustNew([]string{"A", "B"}, x, y); r.Card() != 2 {
+		t.Errorf("New kept %d of 2 distinct rows: %v", r.Card(), r.Rows())
+	}
+	// Shared attributes {A, B}: the rows agree on no shared value.
+	r := MustNew([]string{"A", "B", "C"}, append(x, "r"))
+	s := MustNew([]string{"A", "B", "D"}, append(y, "s"))
+	if j := r.Join(s); j.Card() != 0 {
+		t.Errorf("Join matched distinct keys: %v", j.Rows())
+	}
+	if sj := r.Semijoin(s); sj.Card() != 0 {
+		t.Errorf("Semijoin matched distinct keys: %v", sj.Rows())
+	}
+	// Join output rows are deduplicated by the same key.
+	u := MustNew([]string{"C", "D"}, []string{"c", "d"})
+	j := MustNew([]string{"A", "B"}, x, y).Join(u)
+	if j.Card() != 2 {
+		t.Errorf("Join kept %d of 2 distinct output rows: %v", j.Card(), j.Rows())
+	}
+	m, err := MustNew([]string{"A", "B"}, x).Minus(MustNew([]string{"A", "B"}, y))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Card() != 1 {
+		t.Errorf("Minus removed a distinct row: %v", m.Rows())
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/spectrum"
 	"repro/internal/store"
@@ -44,9 +46,16 @@ type stepJSON struct {
 	Source int `json:"source"`
 }
 
-// decode reads the JSON request body into v. Decoding failures map to 400
-// "bad_json" — except a body-cap hit, which classify turns into 413.
+// decode reads the JSON request body into v under a "server.decode" span
+// (attribute bytes: the declared body length, when known). Decoding
+// failures map to 400 "bad_json" — except a body-cap hit, which classify
+// turns into 413.
 func decode(r *http.Request, v any) error {
+	_, sp := obs.StartSpan(r.Context(), "server.decode")
+	defer sp.End()
+	if r.ContentLength >= 0 {
+		sp.SetInt("bytes", r.ContentLength)
+	}
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var maxBytes *http.MaxBytesError
 		if errors.As(err, &maxBytes) {
@@ -57,10 +66,23 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-// parseSchema turns request text into a hypergraph; *hypergraph.ErrParse
-// surfaces as 400 "parse" with line and column.
-func parseSchema(text string) (*hypergraph.Hypergraph, error) {
+// parseSchema turns request text into a hypergraph under a
+// "hypergraph.parse" span (attributes: bytes of schema text, then edges and
+// nodes of the result); *hypergraph.ErrParse surfaces as 400 "parse" with
+// line and column.
+func parseSchema(ctx context.Context, text string) (*hypergraph.Hypergraph, error) {
+	_, sp := obs.StartSpan(ctx, "hypergraph.parse")
+	defer sp.End()
 	h, _, err := hypergraph.Parse(text)
+	if sp != nil {
+		sp.SetInt("bytes", int64(len(text)))
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		} else {
+			sp.SetInt("edges", int64(h.NumEdges()))
+			sp.SetInt("nodes", int64(h.NumNodes()))
+		}
+	}
 	return h, err
 }
 
@@ -69,7 +91,7 @@ func (s *Server) handleAnalyze(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	h, err := parseSchema(req.Schema)
+	h, err := parseSchema(r.Context(), req.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +112,7 @@ func (s *Server) handleJoinTree(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	h, err := parseSchema(req.Schema)
+	h, err := parseSchema(r.Context(), req.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +137,7 @@ func (s *Server) handleClassify(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	h, err := parseSchema(req.Schema)
+	h, err := parseSchema(r.Context(), req.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +216,7 @@ func (s *Server) handleReduce(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	h, err := parseSchema(req.Schema)
+	h, err := parseSchema(r.Context(), req.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +240,7 @@ func (s *Server) handleEval(r *http.Request) (any, error) {
 	if err := decode(r, &req); err != nil {
 		return nil, err
 	}
-	h, err := parseSchema(req.Schema)
+	h, err := parseSchema(r.Context(), req.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +282,7 @@ func (s *Server) handleWorkspaceCreate(r *http.Request) (any, error) {
 	}
 	var seed *hypergraph.Hypergraph
 	if req.Schema != "" {
-		h, err := parseSchema(req.Schema)
+		h, err := parseSchema(r.Context(), req.Schema)
 		if err != nil {
 			return nil, err
 		}

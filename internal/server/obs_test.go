@@ -195,6 +195,72 @@ func TestTracezEvalSpanTree(t *testing.T) {
 	}
 }
 
+// TestTracezAnalyzeSpanTree: a traced /v1/analyze shows where the request
+// body went before any analysis ran — a "server.decode" span carrying the
+// body length and a "hypergraph.parse" span carrying the schema's bytes,
+// edges and nodes — ahead of the engine memo lookup.
+func TestTracezAnalyzeSpanTree(t *testing.T) {
+	t.Cleanup(obs.Disable)
+	_, ts := newTestServer(t, Config{Workers: 1, Trace: true, SlowTraceThreshold: -1}, nil)
+
+	const edges = 40
+	var sb strings.Builder
+	for i := 0; i < edges; i++ {
+		fmt.Fprintf(&sb, "R%d: A%d, A%d\n", i, i, i+1)
+	}
+	schema := sb.String()
+	body := schemaBody(schema)
+	resp, out := do(t, "POST", ts.URL+"/v1/analyze", body, nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("analyze: %d %s", resp.StatusCode, out)
+	}
+
+	var root *spanNode
+	for _, tr := range getTracez(t, ts.URL).Traces {
+		if tr.Root != nil && tr.Root.Attrs["path"] == "/v1/analyze" {
+			root = tr.Root
+			break
+		}
+	}
+	if root == nil {
+		t.Fatal("no retained trace for /v1/analyze")
+	}
+	var order []string
+	byName := map[string]*spanNode{}
+	walk(root, func(n *spanNode) {
+		order = append(order, n.Name)
+		if byName[n.Name] == nil {
+			byName[n.Name] = n
+		}
+	})
+	dec, parse := byName["server.decode"], byName["hypergraph.parse"]
+	if dec == nil || parse == nil || byName["engine.memo"] == nil {
+		t.Fatalf("trace spans %v, want server.decode, hypergraph.parse and engine.memo", order)
+	}
+	if got := attrInt(t, dec, "bytes"); got != int64(len(body)) {
+		t.Fatalf("server.decode bytes = %d, want %d", got, len(body))
+	}
+	if got := attrInt(t, parse, "bytes"); got != int64(len(schema)) {
+		t.Fatalf("hypergraph.parse bytes = %d, want %d", got, len(schema))
+	}
+	if got := attrInt(t, parse, "edges"); got != edges {
+		t.Fatalf("hypergraph.parse edges = %d, want %d", got, edges)
+	}
+	if got := attrInt(t, parse, "nodes"); got != edges+1 {
+		t.Fatalf("hypergraph.parse nodes = %d, want %d", got, edges+1)
+	}
+	// Pre-order follows span ids (creation order): decode, parse, memo.
+	pos := map[string]int{}
+	for i, name := range order {
+		if _, ok := pos[name]; !ok {
+			pos[name] = i
+		}
+	}
+	if !(pos["server.decode"] < pos["hypergraph.parse"] && pos["hypergraph.parse"] < pos["engine.memo"]) {
+		t.Fatalf("span order %v, want server.decode < hypergraph.parse < engine.memo", order)
+	}
+}
+
 func keys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
