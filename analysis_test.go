@@ -7,6 +7,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/acyclic"
+	"repro/internal/core"
+	"repro/internal/gyo"
+	"repro/internal/jointree"
+	"repro/internal/mcs"
 )
 
 // facadeCorpus: paper fixtures exercising both verdicts through the facade.
@@ -21,24 +27,45 @@ func facadeCorpus() []*Hypergraph {
 	}
 }
 
-// TestAnalysisMatchesDeprecatedFacade: every Analysis facet must agree with
-// the deprecated free-function twin it replaces.
-func TestAnalysisMatchesDeprecatedFacade(t *testing.T) {
+// TestAnalysisMatchesReferences: every Analysis facet must agree with the
+// implementation package it is read off or checked against — the Graham
+// reduction, a fresh MCS run, the GYO join-tree construction, the
+// acyclicity testers of internal/acyclic, and the Theorem 6.1 witness
+// search.
+func TestAnalysisMatchesReferences(t *testing.T) {
 	for i, h := range facadeCorpus() {
 		a := Analyze(h)
-		if a.Verdict() != IsAcyclic(h) || a.Verdict() != IsAcyclicGYO(h) {
+		want := mcs.Run(h)
+		if a.Verdict() != want.Acyclic || a.Verdict() != gyo.IsAcyclic(h) {
 			t.Fatalf("instance %d: verdict mismatch", i)
 		}
-		if want := MCS(h); a.MCS().Acyclic != want.Acyclic || !reflect.DeepEqual(a.MCS().Parent, want.Parent) {
+		if a.MCS().Acyclic != want.Acyclic || !reflect.DeepEqual(a.MCS().Parent, want.Parent) {
 			t.Fatalf("instance %d: MCS mismatch", i)
 		}
 		jt, err := a.JoinTree()
-		wantJT, ok := BuildJoinTreeMCS(h)
-		if (err == nil) != ok || (ok && !reflect.DeepEqual(jt.Parent, wantJT.Parent)) {
+		gyoJT, ok := jointree.Build(h)
+		if (err == nil) != ok {
 			t.Fatalf("instance %d: join tree mismatch (err=%v ok=%v)", i, err, ok)
 		}
-		if cl := a.Classification(); cl != Classify(h) {
-			t.Fatalf("instance %d: classification %v != %v", i, cl, Classify(h))
+		if ok {
+			if !reflect.DeepEqual(jt.Parent, want.Parent) {
+				t.Fatalf("instance %d: join tree is not the MCS run's", i)
+			}
+			if err := jt.Verify(); err != nil {
+				t.Fatalf("instance %d: join tree: %v", i, err)
+			}
+			if err := gyoJT.Verify(); err != nil {
+				t.Fatalf("instance %d: GYO join tree: %v", i, err)
+			}
+		}
+		ref := Classification{
+			Alpha: acyclic.IsAcyclic(h),
+			Beta:  acyclic.IsBetaAcyclic(h),
+			Gamma: acyclic.IsGammaAcyclic(h),
+			Berge: acyclic.IsBergeAcyclic(h),
+		}
+		if cl := a.Classification(); cl != ref {
+			t.Fatalf("instance %d: classification %v != %v", i, cl, ref)
 		}
 		gr, err := GrahamReductionTrace(h)
 		if err != nil {
@@ -48,11 +75,11 @@ func TestAnalysisMatchesDeprecatedFacade(t *testing.T) {
 			t.Fatalf("instance %d: graham trace mismatch", i)
 		}
 		p1, c1, f1, e1 := a.Witness()
-		p2, c2, f2, e2 := IndependentPathWitness(h)
+		p2, f2, e2 := core.IndependentPathWitness(h)
 		if f1 != f2 || (e1 == nil) != (e2 == nil) {
 			t.Fatalf("instance %d: witness mismatch", i)
 		}
-		if f1 && (len(p1.Sets) != len(p2.Sets) || !c1.EqualEdges(c2)) {
+		if c2, _ := core.WitnessCore(h); f1 && (len(p1.Sets) != len(p2.Sets) || !c1.EqualEdges(c2)) {
 			t.Fatalf("instance %d: witness artifacts diverge", i)
 		}
 		fr, err := a.FullReducer()

@@ -39,22 +39,6 @@
 //		Edge("C", "D", "E").
 //		Build()
 //
-// # Migration from the stateless facade
-//
-// The pre-session free functions remain as deprecated one-line wrappers;
-// each maps to an Analysis facet:
-//
-//	old free function                  session method
-//	---------------------------------  -------------------------------
-//	repro.IsAcyclic(h)                 a.Verdict()
-//	repro.IsAcyclicGYO(h)              a.GrahamTrace().Vanished()
-//	repro.MCS(h)                       a.MCS()
-//	repro.BuildJoinTree(h)             a.JoinTree()
-//	repro.BuildJoinTreeMCS(h)          a.JoinTree()
-//	repro.Classify(h)                  a.Classification()
-//	repro.IndependentPathWitness(h)    a.Witness()
-//	jt.FullReducer()                   a.FullReducer()
-//
 // Operations report structured errors satisfying errors.Is / errors.As:
 // ErrCyclic (no join tree exists), ErrCyclicSchema (schema-level, wraps
 // ErrCyclic), *ErrUnknownNode (carries the offending name), *ErrParse
@@ -103,6 +87,15 @@
 //	a.Reduce / a.Eval                   same, epoch-checked per call
 //	Engine.Analyze(h) (memoized)        NewWorkspace(WithWorkspaceEngine(e))
 //	NewHypergraphFromIDs / Parse + h    NewWorkspaceFrom(h)
+//
+// A WorkspaceAnalysis has no facet logic of its own: it is an epoch check
+// around one Analysis session of the epoch's snapshot. On first use it
+// materializes the snapshot and assembles the join forest from the
+// per-component fragments, and that forest seeds the session, so the
+// verdict, join tree, full reducer, classification α and witness
+// short-circuit never re-run a search; the spectrum, Graham trace and
+// witness search run in the session with the same coalescing and
+// per-caller deadlines as a frozen Analysis.
 //
 // Consistency under edits is explicit rather than silent: an Analysis
 // handle is bound to the epoch it was taken at, and once the workspace is
@@ -294,6 +287,7 @@
 //	POST /v1/workspaces/{id}/edges      AddEdge; DELETE .../edges/{edge} removes
 //	POST /v1/workspaces/{id}/rename     RenameNode
 //	POST /v1/workspaces/{id}/query      {"op": "verdict"|"jointree"|..., "epoch": n?}
+//	GET  /v1/workspaces/{id}/watch      epoch long-poll (?after=N; see below)
 //	GET  /healthz, /statsz              liveness (503 while draining) and counters
 //	GET  /metricsz, /tracez             Prometheus metrics and retained slow traces (see Observability)
 //
@@ -369,7 +363,7 @@
 //
 // Two serving features ride the same epoch machinery:
 //
-//	GET /v1/ws/{id}/watch?after=N       long-poll: parks until the epoch
+//	GET .../watch?after=N               long-poll: parks until the epoch
 //	                                    exceeds N (default: current), answers
 //	                                    {"changed": bool, "epoch": M}; the
 //	                                    deadline answers changed=false, so

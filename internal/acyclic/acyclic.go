@@ -392,34 +392,3 @@ func containsInt(s []int, v int) bool {
 	}
 	return false
 }
-
-// Classification reports where a hypergraph sits in the acyclicity
-// hierarchy. The fields are ordered from weakest to strongest notion.
-type Classification struct {
-	Alpha bool // the paper's acyclicity (GYO-reducible)
-	Beta  bool // every edge subfamily α-acyclic
-	Gamma bool // no γ-cycle
-	Berge bool // incidence graph is a forest
-}
-
-// Classify computes the full classification of h. The γ test is exponential,
-// so Classify is intended for small-to-moderate hypergraphs.
-func Classify(h *hypergraph.Hypergraph) Classification {
-	return Classification{
-		Alpha: IsAcyclic(h),
-		Beta:  IsBetaAcyclic(h),
-		Gamma: IsGammaAcyclic(h),
-		Berge: IsBergeAcyclic(h),
-	}
-}
-
-// String renders e.g. "α✓ β✓ γ✗ Berge✗".
-func (c Classification) String() string {
-	mark := func(b bool) string {
-		if b {
-			return "✓"
-		}
-		return "✗"
-	}
-	return fmt.Sprintf("α%s β%s γ%s Berge%s", mark(c.Alpha), mark(c.Beta), mark(c.Gamma), mark(c.Berge))
-}

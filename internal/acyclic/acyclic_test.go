@@ -2,7 +2,6 @@ package acyclic
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -193,14 +192,14 @@ func TestHierarchy(t *testing.T) {
 		hypergraph.New([][]string{{"A", "B"}, {"A", "B", "C"}, {"B", "C"}}),
 	)
 	for _, h := range all {
-		c := Classify(h)
-		if c.Berge && !c.Gamma {
+		alpha, beta, gamma, berge := IsAcyclic(h), IsBetaAcyclic(h), IsGammaAcyclic(h), IsBergeAcyclic(h)
+		if berge && !gamma {
 			t.Fatalf("%v: Berge-acyclic but not γ-acyclic", h)
 		}
-		if c.Gamma && !c.Beta {
+		if gamma && !beta {
 			t.Fatalf("%v: γ-acyclic but not β-acyclic", h)
 		}
-		if c.Beta && !c.Alpha {
+		if beta && !alpha {
 			t.Fatalf("%v: β-acyclic but not α-acyclic", h)
 		}
 	}
@@ -208,27 +207,20 @@ func TestHierarchy(t *testing.T) {
 
 func TestHierarchyStrictness(t *testing.T) {
 	// One witness for the strictness of each inclusion.
-	fig1 := Classify(hypergraph.Fig1()) // α yes, Berge no
-	if !fig1.Alpha || fig1.Berge {
-		t.Fatalf("fig1 classification = %v", fig1)
+	fig1 := hypergraph.Fig1() // α yes, Berge no
+	if !IsAcyclic(fig1) || IsBergeAcyclic(fig1) {
+		t.Fatal("fig1: want α-acyclic but not Berge-acyclic")
 	}
-	fan := Classify(hypergraph.New([][]string{{"A", "B"}, {"B", "C"}, {"C", "A"}, {"A", "B", "C"}}))
-	if !fan.Alpha || fan.Beta {
-		t.Fatalf("fan = %v, want α only", fan)
+	fan := hypergraph.New([][]string{{"A", "B"}, {"B", "C"}, {"C", "A"}, {"A", "B", "C"}})
+	if !IsAcyclic(fan) || IsBetaAcyclic(fan) {
+		t.Fatal("fan: want α only")
 	}
-	sandwich := Classify(hypergraph.New([][]string{{"A", "B"}, {"A", "B", "C"}, {"B", "C"}}))
-	if !sandwich.Beta || sandwich.Gamma {
-		t.Fatalf("sandwich = %v, want β but not γ", sandwich)
+	sandwich := hypergraph.New([][]string{{"A", "B"}, {"A", "B", "C"}, {"B", "C"}})
+	if !IsBetaAcyclic(sandwich) || IsGammaAcyclic(sandwich) {
+		t.Fatal("sandwich: want β but not γ")
 	}
-	twoShared := Classify(hypergraph.New([][]string{{"A", "B", "C"}, {"A", "B", "D"}}))
-	if !twoShared.Gamma || twoShared.Berge {
-		t.Fatalf("two-shared = %v, want γ but not Berge", twoShared)
-	}
-}
-
-func TestClassificationString(t *testing.T) {
-	s := Classification{Alpha: true, Beta: true}.String()
-	if !strings.Contains(s, "α✓") || !strings.Contains(s, "γ✗") {
-		t.Fatalf("String = %q", s)
+	twoShared := hypergraph.New([][]string{{"A", "B", "C"}, {"A", "B", "D"}})
+	if !IsGammaAcyclic(twoShared) || IsBergeAcyclic(twoShared) {
+		t.Fatal("two-shared: want γ but not Berge")
 	}
 }

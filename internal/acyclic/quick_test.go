@@ -59,17 +59,17 @@ func TestQuickHierarchyMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := gen.Random(rng, gen.RandomSpec{Nodes: 6, Edges: 5, MinArity: 2, MaxArity: 3})
-		c := Classify(h)
-		if c.Berge && !c.Gamma {
+		alpha, beta, gamma, berge := IsAcyclic(h), IsBetaAcyclic(h), IsGammaAcyclic(h), IsBergeAcyclic(h)
+		if berge && !gamma {
 			return false
 		}
-		if c.Gamma && !c.Beta {
+		if gamma && !beta {
 			return false
 		}
-		if c.Beta && !c.Alpha {
+		if beta && !alpha {
 			return false
 		}
-		return c.Alpha == mcs.IsAcyclic(h)
+		return alpha == mcs.IsAcyclic(h)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

@@ -18,6 +18,14 @@
 // Analysis per hypergraph identity across its memo, which is the warm path
 // for repeated traffic; analysis.New is the standalone entry point.
 //
+// NewFromForest opens a session whose verdict and join tree are already
+// known — the epoch view of a dynamic.Workspace, whose per-component state
+// assembles into a join forest without a search. On such a seeded handle
+// the verdict, join-tree, full-reducer, spectrum α and witness facets read
+// the seed, so only MCS itself traverses the hypergraph; every other facet
+// (spectrum, Graham trace, witness search, Reduce, Eval) behaves exactly
+// as on a New handle.
+//
 // The execution facets Reduce and Eval bridge to internal/exec: they run
 // the session's cached full-reducer program and join tree over a columnar
 // database. Only the program derivation is cached — the data-dependent
@@ -31,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/acyclic"
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -121,6 +128,11 @@ type Analysis struct {
 	verify bool       // cross-check the join tree's running-intersection invariant
 	pool   *pool.Pool // intra-query parallelism for Reduce/Eval (nil: serial)
 
+	// seeded marks a NewFromForest handle: forest is the caller-supplied
+	// join forest, nil when the hypergraph is cyclic.
+	seeded bool
+	forest *jointree.JoinTree
+
 	// Per-facet guards. The mcs facet is the root of the sharing: the
 	// verdict, the join tree, the classification's α component, the full
 	// reducer, and the witness short-circuit all reuse its result. The two
@@ -165,7 +177,8 @@ type statsCounters struct {
 // so tests and monitoring can assert the caching contract.
 type Stats struct {
 	// MCSRuns counts maximum-cardinality-search traversals (verdict, join
-	// tree, classification α, and witness short-circuit all share one).
+	// tree, classification α, and witness short-circuit all share one; on a
+	// NewFromForest handle only the MCS facet runs one).
 	MCSRuns int32
 	// GrahamRuns counts Graham reduction traces.
 	GrahamRuns int32
@@ -229,6 +242,17 @@ func New(h *hypergraph.Hypergraph, opts ...Option) *Analysis {
 	return a
 }
 
+// NewFromForest opens an analysis session over h seeded with its join
+// forest jt; a nil jt means h is cyclic. The seed stands in for the MCS run
+// wherever a facet needs only the verdict or the join tree, so no facet but
+// MCS searches h. jt must be a join forest of h (WithVerify cross-checks it
+// like a searched tree); h must not be mutated afterwards.
+func NewFromForest(h *hypergraph.Hypergraph, jt *jointree.JoinTree, opts ...Option) *Analysis {
+	a := New(h, opts...)
+	a.seeded, a.forest = true, jt
+	return a
+}
+
 // Hypergraph returns the hypergraph under analysis.
 func (a *Analysis) Hypergraph() *hypergraph.Hypergraph { return a.h }
 
@@ -264,13 +288,22 @@ func (a *Analysis) mcsRun() *mcs.Result {
 }
 
 // Verdict reports α-acyclicity — the paper's notion — via the linear-time
-// maximum cardinality search, computed once per handle.
-func (a *Analysis) Verdict() bool { return a.mcsRun().Acyclic }
+// maximum cardinality search, computed once per handle (read off the seed
+// on a NewFromForest handle).
+func (a *Analysis) Verdict() bool {
+	if a.seeded {
+		return a.forest != nil
+	}
+	return a.mcsRun().Acyclic
+}
 
 // VerdictCtx is Verdict with cooperative cancellation: the traversal polls
 // ctx every ~4096 work units, and a caller coalescing onto another caller's
 // in-flight traversal still observes its own deadline.
 func (a *Analysis) VerdictCtx(ctx context.Context) (bool, error) {
+	if a.seeded {
+		return a.forest != nil, nil
+	}
 	r, err := a.mcsRunCtx(ctx)
 	if err != nil {
 		return false, err
@@ -289,7 +322,8 @@ func (a *Analysis) MCSCtx(ctx context.Context) (*mcs.Result, error) {
 }
 
 // JoinTree returns the join tree read off the MCS ordering the verdict
-// already computed — no second traversal runs. It reports ErrCyclic when
+// already computed — no second traversal runs — or the seed of a
+// NewFromForest handle. It reports ErrCyclic when
 // the hypergraph is cyclic. The tree is shared across callers and must be
 // treated as read-only.
 func (a *Analysis) JoinTree() (*jointree.JoinTree, error) {
@@ -301,16 +335,20 @@ func (a *Analysis) JoinTree() (*jointree.JoinTree, error) {
 // poisoned slot); only the cheap derivation from a completed MCS run is
 // latched.
 func (a *Analysis) JoinTreeCtx(ctx context.Context) (*jointree.JoinTree, error) {
-	r, err := a.mcsRunCtx(ctx)
+	acyclic, err := a.VerdictCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	a.jtOnce.Do(func() {
-		if !r.Acyclic {
+		switch {
+		case !acyclic:
 			a.jtErr = hypergraph.ErrCyclic
 			return
+		case a.seeded:
+			a.jt = a.forest
+		default:
+			a.jt = &jointree.JoinTree{H: a.h, Parent: a.mcsRes.Parent}
 		}
-		a.jt = &jointree.JoinTree{H: a.h, Parent: r.Parent}
 		if a.verify {
 			a.stats.verify.Add(1)
 			if err := a.jt.Verify(); err != nil {
@@ -326,7 +364,7 @@ func (a *Analysis) JoinTreeCtx(ctx context.Context) (*jointree.JoinTree, error) 
 // Spectrum returns the full acyclicity-spectrum classification — per-class
 // verdicts with their certificates and the overall degree — computed by the
 // polynomial testers of internal/spectrum, at most once per handle. The α
-// component reuses the verdict's MCS run. The result is shared and must be
+// component reuses the verdict. The result is shared and must be
 // treated as read-only.
 func (a *Analysis) Spectrum() *spectrum.Result {
 	r, err := a.SpectrumCtx(context.Background())
@@ -343,12 +381,12 @@ func (a *Analysis) Spectrum() *spectrum.Result {
 // for the next caller to retry, and callers coalescing onto an in-flight
 // run observe their own deadline.
 func (a *Analysis) SpectrumCtx(ctx context.Context) (*spectrum.Result, error) {
-	r, err := a.mcsRunCtx(ctx)
+	alpha, err := a.VerdictCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
 	err = a.specLatch.run(ctx, "spectrum", func(ctx context.Context) error {
-		res, err := spectrum.ClassifyWithAlpha(ctx, a.h, r.Acyclic)
+		res, err := spectrum.ClassifyWithAlpha(ctx, a.h, alpha)
 		if err != nil {
 			return err
 		}
@@ -365,9 +403,9 @@ func (a *Analysis) SpectrumCtx(ctx context.Context) (*spectrum.Result, error) {
 // Classification places the hypergraph in the acyclicity hierarchy
 // (α ⊇ β ⊇ γ ⊇ Berge), backed by the polynomial spectrum facet — the
 // exponential definition testers in internal/acyclic survive only as the
-// differential reference. The α component reuses the verdict's MCS run; the
-// whole spectrum computes at most once per handle.
-func (a *Analysis) Classification() acyclic.Classification {
+// differential reference. The α component reuses the verdict; the whole
+// spectrum computes at most once per handle.
+func (a *Analysis) Classification() spectrum.Classification {
 	cl, err := a.ClassificationCtx(context.Background())
 	if err != nil {
 		// Background contexts are never cancelled; SpectrumCtx has no other
@@ -379,12 +417,12 @@ func (a *Analysis) Classification() acyclic.Classification {
 
 // ClassificationCtx is Classification with cooperative cancellation (see
 // SpectrumCtx).
-func (a *Analysis) ClassificationCtx(ctx context.Context) (acyclic.Classification, error) {
+func (a *Analysis) ClassificationCtx(ctx context.Context) (spectrum.Classification, error) {
 	r, err := a.SpectrumCtx(ctx)
 	if err != nil {
-		return acyclic.Classification{}, err
+		return spectrum.Classification{}, err
 	}
-	return acyclic.Classification{
+	return spectrum.Classification{
 		Alpha: r.Alpha,
 		Beta:  r.Beta.Acyclic,
 		Gamma: r.Gamma.Acyclic,
@@ -444,7 +482,7 @@ func (a *Analysis) FullReducer() ([]jointree.SemijoinStep, error) {
 func (a *Analysis) FullReducerCtx(ctx context.Context) ([]jointree.SemijoinStep, error) {
 	// Gate on the one cancellable traversal first: after it succeeds the
 	// derivation below is cheap and latches exactly once.
-	if _, err := a.mcsRunCtx(ctx); err != nil {
+	if _, err := a.VerdictCtx(ctx); err != nil {
 		return nil, err
 	}
 	a.frOnce.Do(func() {

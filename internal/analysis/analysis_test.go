@@ -17,6 +17,7 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/mcs"
+	"repro/internal/spectrum"
 )
 
 // corpus returns the differential instances: the paper fixtures plus the
@@ -76,8 +77,14 @@ func TestFacetsMatchFreeFunctions(t *testing.T) {
 		}
 
 		if h.NumEdges() <= 14 { // the γ test is exponential
-			if cl, want := a.Classification(), acyclic.Classify(h); cl != want {
-				t.Fatalf("instance %d: Classification=%v, acyclic.Classify=%v", i, cl, want)
+			want := spectrum.Classification{
+				Alpha: acyclic.IsAcyclic(h),
+				Beta:  acyclic.IsBetaAcyclic(h),
+				Gamma: acyclic.IsGammaAcyclic(h),
+				Berge: acyclic.IsBergeAcyclic(h),
+			}
+			if cl := a.Classification(); cl != want {
+				t.Fatalf("instance %d: Classification=%v, internal/acyclic testers=%v", i, cl, want)
 			}
 		}
 

@@ -2,12 +2,9 @@ package dynamic
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 
-	"repro/internal/acyclic"
-	"repro/internal/bitset"
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gyo"
@@ -19,9 +16,13 @@ import (
 // Analysis is the epoch-bound analysis handle of a Workspace: a view of the
 // workspace at the epoch Workspace.Analysis was called. The incremental
 // facets (Verdict) are settled at creation from the per-component state the
-// edits maintained; the derived facets (Snapshot, JoinTree, FullReducer,
-// Classification, GrahamTrace, Witness, Reduce, Eval) materialize lazily
-// and are cached on the handle, like an analysis.Analysis session.
+// edits maintained. The derived facets (Snapshot, JoinTree, FullReducer,
+// Classification, GrahamTrace, Witness, Reduce, Eval) delegate to one
+// analysis.Analysis of the epoch snapshot, opened on first use with
+// analysis.NewFromForest: the join forest assembled from the per-component
+// fragments seeds it, so no facet re-runs the acyclicity search, and the
+// traversals that remain (spectrum, Graham trace, witness search) coalesce
+// and observe each caller's deadline exactly as on a frozen session.
 //
 // Consistency is explicit: every derived facet checks on every call that
 // the workspace is still at the handle's epoch and reports *ErrStaleEpoch
@@ -40,18 +41,8 @@ type Analysis struct {
 	acyclic bool // conjunction of the per-component verdicts at the epoch
 	edges   int  // alive edges at the epoch
 
-	mu       sync.Mutex
-	snap     *hypergraph.Hypergraph
-	jt       *jointree.JoinTree
-	frDone   bool
-	fr       []jointree.SemijoinStep
-	cl       *acyclic.Classification
-	gr       *gyo.Result
-	witDone  bool
-	witPath  *core.Path
-	witCore  *hypergraph.Hypergraph
-	witFound bool
-	witErr   error
+	mu    sync.Mutex
+	inner *analysis.Analysis // session over the epoch snapshot; nil until first use
 }
 
 // Epoch returns the workspace epoch this handle describes.
@@ -67,27 +58,34 @@ func (a *Analysis) NumEdges() int { return a.edges }
 // fact about this epoch).
 func (a *Analysis) Verdict() bool { return a.acyclic }
 
+// session returns the wrapped analysis of the epoch snapshot after the
+// epoch check, materializing it on first use (Workspace.materialize). The
+// handle's lock covers only that materialization, never a traversal.
+func (a *Analysis) session() (*analysis.Analysis, error) {
+	if err := a.ws.stale(a.epoch); err != nil {
+		return nil, err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.inner == nil {
+		snap, forest, err := a.ws.materialize(a.epoch)
+		if err != nil {
+			return nil, err
+		}
+		a.inner = analysis.NewFromForest(snap, forest, analysis.WithPool(a.ws.pool))
+	}
+	return a.inner, nil
+}
+
 // Snapshot returns the immutable hypergraph of the handle's epoch,
 // materializing it on first use; *ErrStaleEpoch if the workspace has moved
 // on before anything forced the snapshot.
 func (a *Analysis) Snapshot() (*hypergraph.Hypergraph, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
+	s, err := a.session()
+	if err != nil {
 		return nil, err
 	}
-	return a.snapshotLocked()
-}
-
-func (a *Analysis) snapshotLocked() (*hypergraph.Hypergraph, error) {
-	if a.snap == nil {
-		snap, err := a.ws.snapshotFor(a.epoch)
-		if err != nil {
-			return nil, err
-		}
-		a.snap = snap
-	}
-	return a.snap, nil
+	return s.Hypergraph(), nil
 }
 
 // JoinTree returns the join forest of the handle's epoch: the union of the
@@ -96,23 +94,11 @@ func (a *Analysis) snapshotLocked() (*hypergraph.Hypergraph, error) {
 // component is cyclic and *ErrStaleEpoch when the workspace has moved on.
 // The tree is shared across callers and must be treated as read-only.
 func (a *Analysis) JoinTree() (*jointree.JoinTree, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
+	s, err := a.session()
+	if err != nil {
 		return nil, err
 	}
-	return a.joinTreeLocked()
-}
-
-func (a *Analysis) joinTreeLocked() (*jointree.JoinTree, error) {
-	if a.jt == nil {
-		jt, err := a.ws.forestFor(a.epoch)
-		if err != nil {
-			return nil, err
-		}
-		a.jt = jt
-	}
-	return a.jt, nil
+	return s.JoinTree()
 }
 
 // FullReducer derives the two-pass semijoin program from the epoch's join
@@ -120,32 +106,16 @@ func (a *Analysis) joinTreeLocked() (*jointree.JoinTree, error) {
 // also matches ErrCyclic under errors.Is); edited-away epochs report
 // *ErrStaleEpoch.
 func (a *Analysis) FullReducer() ([]jointree.SemijoinStep, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
+	s, err := a.session()
+	if err != nil {
 		return nil, err
 	}
-	return a.fullReducerLocked()
-}
-
-func (a *Analysis) fullReducerLocked() ([]jointree.SemijoinStep, error) {
-	if !a.frDone {
-		jt, err := a.joinTreeLocked()
-		if errors.Is(err, hypergraph.ErrCyclic) {
-			return nil, hypergraph.ErrCyclicSchema
-		}
-		if err != nil {
-			return nil, err
-		}
-		a.fr = jt.FullReducer()
-		a.frDone = true
-	}
-	return a.fr, nil
+	return s.FullReducer()
 }
 
 // Classification places the epoch's hypergraph in the acyclicity hierarchy
 // (α ⊇ β ⊇ γ ⊇ Berge). It is ClassificationCtx without cancellation.
-func (a *Analysis) Classification() (acyclic.Classification, error) {
+func (a *Analysis) Classification() (spectrum.Classification, error) {
 	return a.ClassificationCtx(context.Background())
 }
 
@@ -153,140 +123,67 @@ func (a *Analysis) Classification() (acyclic.Classification, error) {
 // hierarchy, backed by the polynomial spectrum testers over the epoch
 // snapshot — the α component is the incremental verdict, the stricter
 // notions run at most once per handle and observe ctx every ~4096 work
-// units. A cancelled run leaves the facet uncomputed for a later retry.
-func (a *Analysis) ClassificationCtx(ctx context.Context) (acyclic.Classification, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
-		return acyclic.Classification{}, err
+// units (see analysis.Analysis.SpectrumCtx). A cancelled run leaves the
+// facet uncomputed for a later retry.
+func (a *Analysis) ClassificationCtx(ctx context.Context) (spectrum.Classification, error) {
+	s, err := a.session()
+	if err != nil {
+		return spectrum.Classification{}, err
 	}
-	if a.cl == nil {
-		snap, err := a.snapshotLocked()
-		if err != nil {
-			return acyclic.Classification{}, err
-		}
-		r, err := spectrum.ClassifyWithAlpha(ctx, snap, a.acyclic)
-		if err != nil {
-			return acyclic.Classification{}, err
-		}
-		a.cl = &acyclic.Classification{
-			Alpha: r.Alpha,
-			Beta:  r.Beta.Acyclic,
-			Gamma: r.Gamma.Acyclic,
-			Berge: r.Berge,
-		}
-	}
-	return *a.cl, nil
+	return s.ClassificationCtx(ctx)
 }
 
 // GrahamTrace returns the Graham (GYO) reduction of the epoch snapshot with
-// no sacred nodes, including the full step trace, observing ctx every
-// ~4096 work units (gyo.RunCtx). A cancelled run leaves the facet
+// no sacred nodes, including the full step trace (see
+// analysis.Analysis.GrahamTraceCtx). A cancelled run leaves the facet
 // uncomputed for a later retry; a completed run is cached.
 func (a *Analysis) GrahamTrace(ctx context.Context) (*gyo.Result, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
+	s, err := a.session()
+	if err != nil {
 		return nil, err
 	}
-	if a.gr == nil {
-		snap, err := a.snapshotLocked()
-		if err != nil {
-			return nil, err
-		}
-		r, err := gyo.RunCtx(ctx, snap, bitset.Set{})
-		if err != nil {
-			return nil, err
-		}
-		a.gr = r
-	}
-	return a.gr, nil
+	return s.GrahamTraceCtx(ctx)
 }
 
 // Witness returns the Theorem 6.1 independent-path witness when the epoch
 // is cyclic: the path, the node-generated core it lives in, and found =
 // true. On the acyclic side it short-circuits on the incremental verdict —
-// no search, no snapshot. The results are shared and must be treated as
-// read-only.
+// no search runs. The results are shared and must be treated as read-only.
 func (a *Analysis) Witness() (path *core.Path, coreGraph *hypergraph.Hypergraph, found bool, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
+	s, err := a.session()
+	if err != nil {
 		return nil, nil, false, err
 	}
-	if !a.witDone {
-		if a.acyclic {
-			a.witDone = true // by Theorem 6.1 no independent path exists
-			return nil, nil, false, nil
-		}
-		snap, err := a.snapshotLocked()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		p, found, werr := core.IndependentPathWitness(snap)
-		a.witDone = true
-		if werr != nil || !found {
-			a.witFound, a.witErr = found, werr
-		} else {
-			f, _ := core.WitnessCore(snap)
-			a.witPath, a.witCore, a.witFound = p, f, true
-		}
-	}
-	return a.witPath, a.witCore, a.witFound, a.witErr
-}
-
-// execTree returns the epoch's join forest for Reduce and Eval. It is
-// epoch-checked — an edited workspace reports *ErrStaleEpoch instead of
-// running a plan for a schema that no longer exists — and rejects a
-// database over another schema; a cyclic epoch reports ErrCyclicSchema.
-func (a *Analysis) execTree(d *exec.Database) (*jointree.JoinTree, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.ws.stale(a.epoch); err != nil {
-		return nil, err
-	}
-	snap, err := a.snapshotLocked()
-	if err != nil {
-		return nil, err
-	}
-	if d.Schema != snap && d.Schema.Fingerprint128() != snap.Fingerprint128() {
-		return nil, fmt.Errorf("repro: database schema differs from the workspace epoch's hypergraph")
-	}
-	jt, err := a.joinTreeLocked()
-	if errors.Is(err, hypergraph.ErrCyclic) {
-		err = hypergraph.ErrCyclicSchema
-	}
-	return jt, err
+	return s.Witness()
 }
 
 // Reduce applies the epoch's full reducer to the columnar database d over
 // the workspace's pool (see analysis.Analysis.Reduce for the execution
-// contract). The plan is epoch-checked (see execTree); the reduction itself
-// runs per call outside the handle's lock.
+// contract). The plan is epoch-checked; the reduction itself runs per call.
 func (a *Analysis) Reduce(ctx context.Context, d *exec.Database) (*exec.ReduceResult, error) {
-	jt, err := a.execTree(d)
+	s, err := a.session()
 	if err != nil {
 		return nil, err
 	}
-	return exec.Reduce(ctx, d, jt, a.ws.pool)
+	return s.Reduce(ctx, d)
 }
 
 // Eval answers π_attrs(⋈ all objects) over d with the full Yannakakis
 // strategy, using the epoch's join forest (see analysis.Analysis.Eval for
 // the execution contract). Plans are epoch-checked like Reduce.
 func (a *Analysis) Eval(ctx context.Context, d *exec.Database, attrs []string) (*exec.EvalResult, error) {
-	jt, err := a.execTree(d)
+	s, err := a.session()
 	if err != nil {
 		return nil, err
 	}
-	return exec.Eval(ctx, d, jt, attrs, a.ws.pool)
+	return s.Eval(ctx, d, attrs)
 }
 
 // --- workspace-side epoch-checked reads ---
 
 // stale reports *ErrStaleEpoch when the workspace has moved past epoch.
-// The epoch is atomic, so the check runs lock-free; materializations
-// re-check under ws.mu (snapshotFor, forestFor), which is authoritative.
+// The epoch is atomic, so the check runs lock-free; materialize re-checks
+// under ws.mu, which is authoritative.
 func (ws *Workspace) stale(epoch uint64) error {
 	if cur := ws.epoch.Load(); cur != epoch {
 		return &ErrStaleEpoch{Handle: epoch, Current: cur}
@@ -294,33 +191,23 @@ func (ws *Workspace) stale(epoch uint64) error {
 	return nil
 }
 
-// snapshotFor returns the snapshot for epoch, or *ErrStaleEpoch. The check
-// and the materialization happen under one lock acquisition, so the
-// returned hypergraph is exactly the requested epoch's.
-func (ws *Workspace) snapshotFor(epoch uint64) (*hypergraph.Hypergraph, error) {
+// materialize returns the snapshot of epoch and its join forest, or
+// *ErrStaleEpoch. The forest is assembled from the per-component fragments:
+// each fragment's canonical-order parent links are rebased onto snapshot
+// edge positions, and the roots of all fragments stay roots of the forest;
+// it is nil when any component is cyclic. The check and both builds happen
+// under one ws.mu acquisition, so they describe exactly the requested
+// epoch.
+func (ws *Workspace) materialize(epoch uint64) (*hypergraph.Hypergraph, *jointree.JoinTree, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	if err := ws.stale(epoch); err != nil {
-		return nil, err
-	}
-	return ws.snapshotLocked(), nil
-}
-
-// forestFor assembles the epoch's join forest from the per-component
-// fragments: each fragment's canonical-order parent links are rebased onto
-// snapshot edge positions, and the roots of all fragments stay roots of the
-// forest. Reports *ErrStaleEpoch on a moved workspace and ErrCyclic when
-// any component is cyclic.
-func (ws *Workspace) forestFor(epoch uint64) (*jointree.JoinTree, error) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if err := ws.stale(epoch); err != nil {
-		return nil, err
-	}
-	if ws.cyclic > 0 {
-		return nil, hypergraph.ErrCyclic
+		return nil, nil, err
 	}
 	snap := ws.snapshotLocked()
+	if ws.cyclic > 0 {
+		return snap, nil, nil
+	}
 	parent := make([]int, snap.NumEdges())
 	for i := range parent {
 		parent[i] = -1
@@ -335,5 +222,5 @@ func (ws *Workspace) forestFor(epoch uint64) (*jointree.JoinTree, error) {
 			}
 		}
 	}
-	return &jointree.JoinTree{H: snap, Parent: parent}, nil
+	return snap, &jointree.JoinTree{H: snap, Parent: parent}, nil
 }

@@ -40,13 +40,13 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/acyclic"
 	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/hypergraph"
 	"repro/internal/jointree"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/spectrum"
 )
 
 // Memo metrics: the /metricsz mirror of the Stats() atomics, split by memo
@@ -566,7 +566,7 @@ func (e *Engine) JoinTree(h *hypergraph.Hypergraph) (*jointree.JoinTree, bool) {
 // the polynomial spectrum testers, memoized per fingerprint — the degree
 // (with certificates) computes once per identity no matter how many
 // callers ask. For the certificates themselves use Analyze(h).Spectrum().
-func (e *Engine) Classify(h *hypergraph.Hypergraph) acyclic.Classification {
+func (e *Engine) Classify(h *hypergraph.Hypergraph) spectrum.Classification {
 	return e.entryFor(h).an.Classification()
 }
 
@@ -604,8 +604,8 @@ func (e *Engine) JoinTreeBatch(ctx context.Context, hs []*hypergraph.Hypergraph)
 // ClassifyBatch computes one classification per input. Cancellation
 // semantics match IsAcyclicBatch: the spectrum testers observe ctx inside
 // each traversal, and a slot whose traversal was cancelled stays zero.
-func (e *Engine) ClassifyBatch(ctx context.Context, hs []*hypergraph.Hypergraph) ([]acyclic.Classification, error) {
-	out := make([]acyclic.Classification, len(hs))
+func (e *Engine) ClassifyBatch(ctx context.Context, hs []*hypergraph.Hypergraph) ([]spectrum.Classification, error) {
+	out := make([]spectrum.Classification, len(hs))
 	err := e.fanOut(ctx, len(hs), func(i int) {
 		if cl, err := e.entryFor(hs[i]).an.ClassificationCtx(ctx); err == nil {
 			out[i] = cl

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"repro/internal/acyclic"
 	"repro/internal/dynamic"
 	"repro/internal/exec"
 	"repro/internal/hypergraph"
@@ -173,23 +172,6 @@ func spectrumJSON(res *spectrum.Result) map[string]any {
 		"degree":       res.Degree.String(),
 		"certificates": certs,
 	}
-}
-
-// degreeString names the longest true prefix of a classification — the wire
-// rendering for paths that hold a Classification without certificates.
-func degreeString(c acyclic.Classification) string {
-	d := spectrum.DegreeCyclic
-	switch {
-	case c.Alpha && c.Beta && c.Gamma && c.Berge:
-		d = spectrum.DegreeBerge
-	case c.Alpha && c.Beta && c.Gamma:
-		d = spectrum.DegreeGamma
-	case c.Alpha && c.Beta:
-		d = spectrum.DegreeBeta
-	case c.Alpha:
-		d = spectrum.DegreeAlpha
-	}
-	return d.String()
 }
 
 // buildDatabase binds request tables to the schema. Both the per-table
@@ -514,7 +496,7 @@ func (s *Server) queryBody(r *http.Request, a *dynamic.Analysis, op string) (any
 		return map[string]any{
 			"epoch": a.Epoch(),
 			"alpha": c.Alpha, "beta": c.Beta, "gamma": c.Gamma, "berge": c.Berge,
-			"degree": degreeString(c),
+			"degree": c.Degree().String(),
 		}, nil
 	case "snapshot":
 		h, err := a.Snapshot()
@@ -532,9 +514,9 @@ func (s *Server) queryBody(r *http.Request, a *dynamic.Analysis, op string) (any
 	return nil, &errBadRequest{err: fmt.Errorf("unknown op %q", op)}
 }
 
-// handleWatch is the epoch long-poll: GET /v1/ws/{id}/watch?after=N parks
-// until the workspace's epoch exceeds N (default: its epoch at arrival) or
-// the request deadline expires. Both outcomes are 200s — a timeout answers
+// handleWatch is the epoch long-poll: GET /v1/workspaces/{id}/watch?after=N
+// parks until the workspace's epoch exceeds N (default: its epoch at
+// arrival) or the request deadline expires. Both outcomes are 200s — a timeout answers
 // {"changed": false} so pollers distinguish "nothing happened" from errors
 // and immediately re-arm with the same cursor.
 func (s *Server) handleWatch(r *http.Request) (any, error) {

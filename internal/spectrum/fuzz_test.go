@@ -39,7 +39,12 @@ func FuzzSpectrum(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Classify: %v", err)
 		}
-		cl := acyclic.Classify(h)
+		cl := Classification{
+			Alpha: acyclic.IsAcyclic(h),
+			Beta:  acyclic.IsBetaAcyclic(h),
+			Gamma: acyclic.IsGammaAcyclic(h),
+			Berge: acyclic.IsBergeAcyclic(h),
+		}
 		if res.Alpha != cl.Alpha || res.Beta.Acyclic != cl.Beta ||
 			res.Gamma.Acyclic != cl.Gamma || res.Berge != cl.Berge {
 			t.Fatalf("verdict mismatch: spectrum=(α%v β%v γ%v B%v) spec=%v\n%s",

@@ -49,6 +49,7 @@ package spectrum
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/hypergraph"
 	"repro/internal/mcs"
@@ -89,10 +90,48 @@ func (d Degree) String() string {
 	}
 }
 
+// Classification places a hypergraph in the acyclicity hierarchy — the
+// four verdicts without certificates. The fields are ordered from weakest
+// to strongest notion.
+type Classification struct {
+	Alpha bool // the paper's acyclicity (GYO-reducible)
+	Beta  bool // every edge subfamily α-acyclic
+	Gamma bool // no γ-cycle
+	Berge bool // incidence graph is a forest
+}
+
+// Degree is the longest true prefix of α ⊇ β ⊇ γ ⊇ Berge (the verdicts are
+// decided independently, so the degree is defined conservatively rather
+// than trusting any single one).
+func (c Classification) Degree() Degree {
+	switch {
+	case c.Alpha && c.Beta && c.Gamma && c.Berge:
+		return DegreeBerge
+	case c.Alpha && c.Beta && c.Gamma:
+		return DegreeGamma
+	case c.Alpha && c.Beta:
+		return DegreeBeta
+	case c.Alpha:
+		return DegreeAlpha
+	default:
+		return DegreeCyclic
+	}
+}
+
+// String renders e.g. "α✓ β✓ γ✗ Berge✗".
+func (c Classification) String() string {
+	mark := func(b bool) string {
+		if b {
+			return "✓"
+		}
+		return "✗"
+	}
+	return fmt.Sprintf("α%s β%s γ%s Berge%s", mark(c.Alpha), mark(c.Beta), mark(c.Gamma), mark(c.Berge))
+}
+
 // Result is a full spectrum classification: the per-class verdicts with
-// their certificates, and the overall degree — the longest true prefix of
-// α ⊇ β ⊇ γ ⊇ Berge (the testers are independent, so the degree is defined
-// conservatively rather than trusting any single one).
+// their certificates, and the overall degree (Classification.Degree of the
+// four verdicts).
 type Result struct {
 	Alpha  bool
 	Beta   *BetaResult
@@ -150,18 +189,6 @@ func ClassifyWithAlpha(ctx context.Context, h *hypergraph.Hypergraph, alpha bool
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Alpha: alpha, Beta: beta, Gamma: gamma, Berge: berge}
-	switch {
-	case alpha && beta.Acyclic && gamma.Acyclic && berge:
-		res.Degree = DegreeBerge
-	case alpha && beta.Acyclic && gamma.Acyclic:
-		res.Degree = DegreeGamma
-	case alpha && beta.Acyclic:
-		res.Degree = DegreeBeta
-	case alpha:
-		res.Degree = DegreeAlpha
-	default:
-		res.Degree = DegreeCyclic
-	}
-	return res, nil
+	cl := Classification{Alpha: alpha, Beta: beta.Acyclic, Gamma: gamma.Acyclic, Berge: berge}
+	return &Result{Alpha: alpha, Beta: beta, Gamma: gamma, Berge: berge, Degree: cl.Degree()}, nil
 }

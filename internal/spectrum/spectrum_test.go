@@ -3,6 +3,7 @@ package spectrum
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,7 +23,12 @@ func checkAgainstSpec(t *testing.T, h *hypergraph.Hypergraph, useBetaDef bool) {
 	if err != nil {
 		t.Fatalf("Classify: %v", err)
 	}
-	cl := acyclic.Classify(h)
+	cl := Classification{
+		Alpha: acyclic.IsAcyclic(h),
+		Beta:  acyclic.IsBetaAcyclic(h),
+		Gamma: acyclic.IsGammaAcyclic(h),
+		Berge: acyclic.IsBergeAcyclic(h),
+	}
 	if res.Alpha != cl.Alpha {
 		t.Fatalf("alpha mismatch: spectrum=%v acyclic=%v\n%s", res.Alpha, cl.Alpha, h.Format())
 	}
@@ -107,6 +113,21 @@ func TestSpectrumKnownExamples(t *testing.T) {
 		if err := VerifyGamma(tc.h, res.Gamma); err != nil {
 			t.Errorf("%s: gamma certificate rejected: %v", tc.name, err)
 		}
+	}
+}
+
+func TestClassificationString(t *testing.T) {
+	c := Classification{Alpha: true, Beta: true}
+	if s := c.String(); !strings.Contains(s, "α✓") || !strings.Contains(s, "γ✗") {
+		t.Fatalf("String = %q", s)
+	}
+	if d := c.Degree(); d != DegreeBeta {
+		t.Fatalf("Degree = %v, want %v", d, DegreeBeta)
+	}
+	// The degree is the longest true prefix: a stray γ verdict above a
+	// failed β does not lift it.
+	if d := (Classification{Alpha: true, Gamma: true, Berge: true}).Degree(); d != DegreeAlpha {
+		t.Fatalf("Degree = %v, want %v", d, DegreeAlpha)
 	}
 }
 

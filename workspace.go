@@ -12,9 +12,10 @@ type (
 	// session handle. See internal/dynamic.
 	Workspace = dynamic.Workspace
 	// WorkspaceAnalysis is the epoch-bound analysis handle of a Workspace:
-	// facets mirror the frozen Analysis session, but every derived facet
-	// epoch-checks against the live workspace and reports *ErrStaleEpoch
-	// once it has been edited past the handle. See internal/dynamic.
+	// an epoch check around one Analysis session of the epoch's snapshot,
+	// seeded with the incrementally maintained join forest. Every derived
+	// facet reports *ErrStaleEpoch once the workspace has been edited past
+	// the handle. See internal/dynamic.
 	WorkspaceAnalysis = dynamic.Analysis
 	// WorkspaceOption configures a Workspace (see WithWorkspaceEngine).
 	WorkspaceOption = dynamic.Option
